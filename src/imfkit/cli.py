@@ -34,7 +34,8 @@ from .core import (
 from .eemd import EEMDSettings, eemd
 from .emd import EMDSettings, emd
 from .iterfilt import IFSettings, MaskLengthRule, iterative_filtering
-from .specfreq import TimeFrequencyGrid, derivative_if, hilbert_if, hilbert_spectrum
+from . import specfreq
+from .specfreq import TimeFrequencyGrid, hilbert_spectrum
 from .svgplot import render_decomposition_svg, render_spectrum_svg
 
 
@@ -152,13 +153,52 @@ def ingest_csv(
     return Signal(values, dt=dt, t0=float(t[0]))
 
 
+# CSV text is formatted column by column for a block of this many rows at
+# a time, so the text held in memory stays bounded on long signals.
+_ROW_BLOCK = 4096
+
+
+def _format_column(values) -> list[str]:
+    """Shortest round-trip decimal of every value, as float64."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
 def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
     names = [name for name, _ in columns]
     arrays = [arr for _, arr in columns]
     with path.open("w") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(arrays[0].size):
-            fh.write(",".join(repr(float(a[i])) for a in arrays) + "\n")
+        for lo in range(0, arrays[0].size, _ROW_BLOCK):
+            cells = [_format_column(a[lo : lo + _ROW_BLOCK]) for a in arrays]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+
+
+def _write_spectrum_csv(path: Path, grid: TimeFrequencyGrid) -> None:
+    """time plus one column per bin center; zero cells are written "0.0".
+
+    Each row holds at most one nonzero cell per IMF, so only the nonzero
+    cells are formatted and the zero runs between them are spliced in.
+    """
+    centers = 0.5 * (grid.freqs[:-1] + grid.freqs[1:])
+    nbins = centers.size
+    zeros = [",0.0" * k for k in range(nbins + 1)]
+    with path.open("w") as fh:
+        fh.write(",".join(["time", *_format_column(centers)]) + "\n")
+        for lo in range(0, grid.times.size, _ROW_BLOCK):
+            block = grid.amplitude[lo : lo + _ROW_BLOCK]
+            lines = [[t] for t in _format_column(grid.times[lo : lo + _ROW_BLOCK])]
+            last = [-1] * len(lines)  # column of each row's latest nonzero cell
+            rows, cols = np.nonzero(block)
+            values = _format_column(block[rows, cols])
+            for r, c, text in zip(rows.tolist(), cols.tolist(), values):
+                lines[r].append(zeros[c - last[r] - 1] + "," + text)
+                last[r] = c
+            fh.write(
+                "".join(
+                    "".join(line) + zeros[nbins - 1 - c] + "\n"
+                    for line, c in zip(lines, last)
+                )
+            )
 
 
 def write_imfs_csv(path: str | Path, source: Signal, d: Decomposition) -> None:
@@ -376,9 +416,6 @@ def _eemd_settings(options: dict, seed: int) -> EEMDSettings:
 # ---------------------------------------------------------------------------
 # Output emission
 
-_ESTIMATOR_FNS = {"hilbert": hilbert_if, "derivative": derivative_if}
-
-
 def _write_meta(path: Path, pairs: list[tuple[str, object]]) -> None:
     with path.open("w") as fh:
         for key, value in pairs:
@@ -453,12 +490,16 @@ def _meta_pairs(cfg: RunConfig, settings, d: Decomposition, n: int, dt: float, t
 
 
 def _write_traces_and_spectrum(
-    out: Path, d: Decomposition, estimator: str, nbins: int, plot: bool
+    out: Path,
+    d: Decomposition,
+    estimator: str,
+    nbins: int,
+    plot: bool,
+    weight: str = "amplitude",
 ) -> None:
-    trace_fn = _ESTIMATOR_FNS[estimator]
     times = d.residual.times
-    for i, imf in enumerate(d.imfs, start=1):
-        trace = trace_fn(imf)
+    traces = [specfreq._ESTIMATORS[estimator](imf) for imf in d.imfs]
+    for i, trace in enumerate(traces, start=1):
         _write_csv(
             out / f"iftrace_{i}.csv",
             [
@@ -469,24 +510,28 @@ def _write_traces_and_spectrum(
             ],
         )
     if d.imfs:
-        grid = hilbert_spectrum(d, nbins=nbins, estimator=estimator)
+        grid = hilbert_spectrum(
+            d, nbins=nbins, estimator=estimator, weight=weight, traces=traces
+        )
     else:
         edges = np.linspace(0.0, 0.5 / d.residual.dt, nbins + 1)
         grid = TimeFrequencyGrid(
             times=times, freqs=edges, amplitude=np.zeros((times.size, nbins))
         )
-    centers = 0.5 * (grid.freqs[:-1] + grid.freqs[1:])
-    cols = [("time", grid.times)]
-    cols += [
-        (repr(float(c)), grid.amplitude[:, j]) for j, c in enumerate(centers)
-    ]
-    _write_csv(out / "spectrum.csv", cols)
+    _write_spectrum_csv(out / "spectrum.csv", grid)
     if plot:
         (out / "spectrum.svg").write_text(render_spectrum_svg(grid))
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1 (got {value})")
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a decomposition run; returns a process exit status."""
+    _require_positive("--spectrum-bins", cfg.spectrum_bins)
+    _require_positive("--threads", cfg.threads)
     s = ingest_csv(cfg.input_path, value_col=cfg.value_col, time_col=cfg.time_col)
     options = cfg.options or {}
     if cfg.method == "emd":
@@ -517,28 +562,10 @@ def run(cfg: RunConfig) -> int:
 
 def run_spectrum(in_dir: str, bins: int, estimator: str, weight: str, plot: bool) -> int:
     """Recompute IF traces and the spectrum from a previous run's imfs.csv."""
+    _require_positive("--bins", bins)
     out = Path(in_dir)
     _, d = read_imfs_csv(out / "imfs.csv")
-    trace_fn = _ESTIMATOR_FNS[estimator]
-    times = d.residual.times
-    for i, imf in enumerate(d.imfs, start=1):
-        trace = trace_fn(imf)
-        _write_csv(
-            out / f"iftrace_{i}.csv",
-            [
-                ("time", times),
-                ("amplitude", trace.amplitude.samples),
-                ("frequency", trace.frequency.samples),
-                ("valid", trace.valid_mask.astype(np.float64)),
-            ],
-        )
-    grid = hilbert_spectrum(d, nbins=bins, estimator=estimator, weight=weight)
-    centers = 0.5 * (grid.freqs[:-1] + grid.freqs[1:])
-    cols = [("time", grid.times)]
-    cols += [(repr(float(c)), grid.amplitude[:, j]) for j, c in enumerate(centers)]
-    _write_csv(out / "spectrum.csv", cols)
-    if plot:
-        (out / "spectrum.svg").write_text(render_spectrum_svg(grid))
+    _write_traces_and_spectrum(out, d, estimator, bins, plot, weight=weight)
     return 0
 
 

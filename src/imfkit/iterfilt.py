@@ -172,20 +172,30 @@ def mask_gain(mask: MaskFunction, n: int) -> np.ndarray:
 _FFT_MIN_LENGTH = 1024
 
 
+def _mask_operator(
+    mask: MaskFunction, n: int, extension: BoundaryExtension
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The moving average x -> M(x) for n-sample signals.
+
+    The mask's transform (or its weights and padding mode) is prepared
+    once, so a loop that applies the same mask pays for it only once.
+    """
+    l = mask.half_length
+    if l >= n:
+        raise MaskTooLong(f"mask half-length {l} must be < signal length {n}")
+    if extension is BoundaryExtension.PERIODIC and n >= _FFT_MIN_LENGTH:
+        gain = np.fft.rfft(_circular_embed(mask.weights, l, n))
+        return lambda x: np.fft.irfft(np.fft.rfft(x) * gain, n)
+    weights, mode = mask.weights, _NP_PAD_MODE[extension]
+    return lambda x: np.convolve(np.pad(x, l, mode=mode), weights, mode="valid")
+
+
 def _moving_average_arr(
     x: np.ndarray,
     mask: MaskFunction,
     extension: BoundaryExtension,
 ) -> np.ndarray:
-    n = x.size
-    l = mask.half_length
-    if l >= n:
-        raise MaskTooLong(f"mask half-length {l} must be < signal length {n}")
-    if extension is BoundaryExtension.PERIODIC and n >= _FFT_MIN_LENGTH:
-        wpad = _circular_embed(mask.weights, l, n)
-        return np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(wpad), n)
-    ext = np.pad(x, l, mode=_NP_PAD_MODE[extension])
-    return np.convolve(ext, mask.weights, mode="valid")
+    return _mask_operator(mask, x.size, extension)(x)
 
 
 def moving_average(s: Signal, w: MaskFunction, ext: BoundaryExtension) -> Signal:
@@ -206,10 +216,11 @@ def _if_extract_arr(
     if float(np.linalg.norm(cur)) == 0.0:
         # 0/0 ratio convention: an identically zero signal is converged.
         return cur, 0, StopReason.DELTA_REACHED
+    average = _mask_operator(mask, cur.size, cfg.extension)
     iterations = 0
     reason = StopReason.MAX_INNER_REACHED
     for it in range(1, cfg.max_inner + 1):
-        avg = _moving_average_arr(cur, mask, cfg.extension)
+        avg = average(cur)
         num = float(np.linalg.norm(avg))
         den = float(np.linalg.norm(cur))
         cur -= avg

@@ -9,10 +9,10 @@ time-frequency amplitude grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.signal import lfilter, lfiltic
 
 from .core import Decomposition, Signal, _extrema_indices
 
@@ -104,12 +104,10 @@ def analytic_signal(s: Signal) -> AnalyticSignal:
     return AnalyticSignal(real_part=s, imag_part=s.with_samples(z.imag))
 
 
-def _ar2_continuation(x: np.ndarray, fit_len: int, ext_len: int) -> np.ndarray:
-    """Extrapolate forward by ext_len samples with a pole-clamped AR(2) model.
+def _ar2_coefficients(x: np.ndarray, fit_len: int) -> tuple[float, float]:
+    """(a1, a2) of y[k] = a1*y[k-1] + a2*y[k-2] fitted to the last fit_len samples.
 
-    A second-order recurrence continues the dominant edge oscillation at
-    its local frequency (exact for a pure tone); poles are clamped into
-    the closed unit disk so the continuation never grows exponentially.
+    Poles are clamped into the closed unit disk.
     """
     seg = x[-fit_len:]
     A = np.column_stack([seg[1:-1], seg[:-2]])
@@ -117,12 +115,23 @@ def _ar2_continuation(x: np.ndarray, fit_len: int, ext_len: int) -> np.ndarray:
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     poles = np.roots([1.0, -sol[0], -sol[1]])
     poles = np.array([p / max(abs(p), 1.0) for p in poles])
-    a1 = float(np.real(poles.sum()))
-    a2 = float(-np.real(poles.prod()))
-    den = [1.0, -a1, -a2]
-    zi = lfiltic([1.0], den, y=[x[-1], x[-2]])
-    out, _ = lfilter([1.0], den, np.zeros(ext_len), zi=zi)
-    return out
+    return float(np.real(poles.sum())), float(-np.real(poles.prod()))
+
+
+def _ar2_continuation(x: np.ndarray, fit_len: int, ext_len: int) -> np.ndarray:
+    """Extrapolate forward by ext_len samples with a pole-clamped AR(2) model.
+
+    A second-order recurrence continues the dominant edge oscillation at
+    its local frequency (exact for a pure tone); poles are clamped into
+    the closed unit disk so the continuation never grows exponentially.
+    """
+    a1, a2 = _ar2_coefficients(x, fit_len)
+    y1, y2 = float(x[-1]), float(x[-2])
+    out = []
+    for _ in range(ext_len):
+        y1, y2 = a1 * y1 + a2 * y2, y1
+        out.append(y1)
+    return np.array(out, dtype=np.float64)
 
 
 def _stabilized_analytic_arr(x: np.ndarray) -> np.ndarray:
@@ -276,6 +285,8 @@ def hilbert_spectrum(
     nbins: int,
     estimator: str = "hilbert",
     weight: str = "amplitude",
+    *,
+    traces: Sequence[IFTrace] | None = None,
 ) -> TimeFrequencyGrid:
     """Time-frequency grid built from a decomposition's IF traces.
 
@@ -284,6 +295,10 @@ def hilbert_spectrum(
     bin containing the instantaneous frequency. Bin edges span
     [0, 1/(2*dt)] uniformly; out-of-range frequencies are clipped into the
     end bins so the deposited mass is conserved.
+
+    ``traces``, when given, holds one already computed trace per IMF, in
+    IMF order (for example the ``estimator``'s output); the estimator is
+    then not run again.
     """
     if len(d.imfs) == 0:
         raise ValueError("decomposition has no IMFs")
@@ -293,15 +308,17 @@ def hilbert_spectrum(
         raise ValueError(f"unknown estimator {estimator!r}")
     if weight not in ("amplitude", "energy"):
         raise ValueError(f"unknown weight {weight!r}")
-    trace_fn = _ESTIMATORS[estimator]
     ref = d.residual
     n = len(ref)
+    if traces is None:
+        traces = map(_ESTIMATORS[estimator], d.imfs)
+    elif len(traces) != len(d.imfs) or any(len(t.frequency) != n for t in traces):
+        raise ValueError("traces must hold one trace per IMF, each of the IMF length")
     fmax = 0.5 / ref.dt
     edges = np.linspace(0.0, fmax, nbins + 1)
     grid = np.zeros((n, nbins))
     rows = np.arange(n)
-    for imf in d.imfs:
-        trace = trace_fn(imf)
+    for trace in traces:
         mass = trace.amplitude.samples
         if weight == "energy":
             mass = mass * mass

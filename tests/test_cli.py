@@ -202,6 +202,32 @@ class TestDecomposeCommand:
         assert code == 1 and err.strip()
 
 
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["--method", "emd", "--spectrum-bins", "0"], "--spectrum-bins"),
+            (["--method", "if", "--spectrum-bins", "-3"], "--spectrum-bins"),
+            (["--method", "eemd", "--threads", "0"], "--threads"),
+            (["--method", "eemd", "--threads", "-1"], "--threads"),
+        ],
+    )
+    def test_bad_count_rejected_before_any_work(
+        self, two_tone_csv, tmp_path, capsys, args, flag
+    ):
+        out = tmp_path / "run"
+        code = main(["decompose", *args, "--input", str(two_tone_csv), "--out", str(out)])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spectrum_bins_rejected_before_reading(self, tmp_path, capsys):
+        run_dir = tmp_path / "no-such-run"
+        assert main(["spectrum", "--in", str(run_dir), "--bins", "0"]) == 1
+        assert "--bins" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+
 class TestSpectrumCommand:
     def test_recomputes_from_run_dir(self, two_tone_csv, tmp_path):
         out = tmp_path / "run"

@@ -225,6 +225,27 @@ class TestIfExtract:
         assert iterations == 1
         assert np.array_equal(imf.samples, expected)
 
+    @pytest.mark.parametrize(
+        "n,extension",
+        [
+            (2048, BoundaryExtension.PERIODIC),
+            (300, BoundaryExtension.PERIODIC),
+            (300, BoundaryExtension.REFLECTION),
+            (300, BoundaryExtension.CONSTANT),
+        ],
+    )
+    def test_inner_loop_matches_repeated_moving_average(self, rng, n, extension):
+        x = rng.standard_normal(n)
+        cfg = IFSettings(extension=extension, max_inner=6, delta=1e-300)
+        mask = make_mask(9)
+        expected = Signal(x)
+        for _ in range(6):
+            avg = moving_average(expected, mask, extension)
+            expected = expected.with_samples(expected.samples - avg.samples)
+        imf, iterations, _ = if_extract(Signal(x), 9, cfg)
+        assert iterations == 6
+        assert np.array_equal(imf.samples, expected.samples)
+
     def test_zero_signal_returns_immediately(self):
         imf, iterations, reason = if_extract(Signal(np.zeros(64)), 5, IFSettings())
         assert iterations == 0

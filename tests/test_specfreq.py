@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from imfkit import (
     hilbert_if,
     hilbert_spectrum,
 )
+from imfkit.specfreq import _ar2_coefficients, _ar2_continuation
 
 
 def tone(f=5.0, n=2048, span=2.0):
@@ -219,3 +223,64 @@ class TestHilbertSpectrum:
         )
         with pytest.raises(ValueError):
             hilbert_spectrum(d, nbins=8, estimator="wavelet")
+
+    def test_precomputed_traces_give_same_grid(self, rng):
+        dt = 1.0 / 512
+        t = np.arange(1024) * dt
+        d = make_decomposition(
+            [np.sin(2 * np.pi * 60 * t), rng.standard_normal(1024)], dt
+        )
+        for estimator, trace_fn in (("hilbert", hilbert_if), ("derivative", derivative_if)):
+            traces = [trace_fn(imf) for imf in d.imfs]
+            for weight in ("amplitude", "energy"):
+                kw = dict(nbins=32, estimator=estimator, weight=weight)
+                got = hilbert_spectrum(d, traces=traces, **kw)
+                assert np.array_equal(got.amplitude, hilbert_spectrum(d, **kw).amplitude)
+
+    def test_traces_must_hold_one_trace_per_imf(self):
+        s, t = tone(n=512)
+        d = make_decomposition([s.samples, np.cos(2 * np.pi * 20 * t)], s.dt)
+        traces = [hilbert_if(imf) for imf in d.imfs]
+        with pytest.raises(ValueError):
+            hilbert_spectrum(d, nbins=16, traces=traces[:1])
+        short = hilbert_if(Signal(s.samples[:256], dt=s.dt))
+        with pytest.raises(ValueError):
+            hilbert_spectrum(d, nbins=16, traces=[traces[0], short])
+        with pytest.raises(TypeError):
+            hilbert_spectrum(d, 16, "hilbert", "amplitude", traces)
+
+
+class TestAr2Continuation:
+    def test_recurrence_matches_lfilter(self, rng):
+        # scipy.signal's IIR filter, seeded with the last two samples, is
+        # the reference for the clamped two-pole continuation.
+        signal = pytest.importorskip("scipy.signal")
+        fit_len, ext_len = 64, 400
+        k = np.arange(fit_len, dtype=np.float64)
+        bases = [rng.standard_normal(fit_len) for _ in range(30)]
+        for f, phase in rng.uniform([0.0, 0.0], [0.5, 2 * np.pi], (30, 2)):
+            bases.append(np.sin(2 * np.pi * f * k + phase))  # poles on the unit circle
+        bases += [
+            np.cos(np.pi * k),  # pole at -1
+            k + 1.0,  # double pole at 1
+            1.08**k,  # pole outside the disk, clamped to 1
+            1.03**k * np.sin(0.7 * k),  # growing oscillation, clamped to the circle
+            0.9**k * np.cos(2.1 * k),  # decaying oscillation
+        ]
+        for base in bases:
+            for scale in (1e-200, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e200):
+                x = base * scale
+                a1, a2 = _ar2_coefficients(x, fit_len)
+                den = [1.0, -a1, -a2]
+                zi = signal.lfiltic([1.0], den, y=[x[-1], x[-2]])
+                expected, _ = signal.lfilter([1.0], den, np.zeros(ext_len), zi=zi)
+                got = _ar2_continuation(x, fit_len, ext_len)
+                assert np.array_equal(got, expected)
+
+    def test_import_does_not_load_scipy_signal(self):
+        code = "import sys, imfkit; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
