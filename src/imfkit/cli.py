@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -68,31 +69,22 @@ def _read_rows(path: str | Path) -> tuple[list[str] | None, list[list[float]], l
     header: list[str] | None = None
     rows: list[list[float]] = []
     linenos: list[int] = []
-    ncols: int | None = None
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
         cells = [c.strip() for c in stripped.split(",")]
-        if header is None and not rows:
-            try:
-                first = [float(c) for c in cells]
-            except ValueError:
-                header = cells  # first row is non-numeric: a header
-                continue
-            ncols = len(first)
-            rows.append(first)
-            linenos.append(lineno)
-            continue
         try:
             values = [float(c) for c in cells]
         except ValueError as exc:
+            if header is None and not rows:
+                header = cells  # first row is non-numeric: a header
+                continue
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if ncols is None:
-            ncols = len(values)
-        elif len(values) != ncols:
+        if rows and len(values) != len(rows[0]):
             raise ParseError(
-                f"{path}: line {lineno}: expected {ncols} columns, got {len(values)}"
+                f"{path}: line {lineno}: expected {len(rows[0])} columns, "
+                f"got {len(values)}"
             )
         rows.append(values)
         linenos.append(lineno)
@@ -134,8 +126,12 @@ def ingest_csv(
     data = np.asarray(rows)
     use_time = ncols >= 2 and (time_col is None or time_col.lower() != "none")
     t_idx = _resolve_column(time_col, header, ncols, 0) if use_time else None
-    default_value = 1 if use_time else 0
-    v_idx = _resolve_column(value_col, header, ncols, default_value if ncols >= 2 else 0)
+    v_idx = _resolve_column(value_col, header, ncols, 1 if use_time else 0)
+    used = [v_idx] if t_idx is None else [t_idx, v_idx]
+    bad_rows, bad_cols = np.nonzero(~np.isfinite(data[:, used]))
+    if bad_rows.size:
+        r, c = bad_rows[0], used[bad_cols[0]]
+        raise ParseError(f"{path}: line {linenos[r]}: column {c} is {data[r, c]}")
     values = data[:, v_idx]
     if t_idx is None:
         return Signal(values, dt=1.0, t0=0.0)
@@ -227,71 +223,19 @@ def read_imfs_csv(path: str | Path) -> tuple[Signal, Decomposition]:
 
 
 # ---------------------------------------------------------------------------
-# Settings files (Settings_IF style key = value)
+# Method options and settings files (Settings_IF style key = value)
 
-_SETTINGS_KEYS = {
-    # iterative filtering (Settings_IF names and snake_case both accepted)
-    "delta": "delta",
-    "extpoints": "ext_points",
-    "nimfs": "n_imfs",
-    "extensiontype": "extension",
-    "extension": "extension",
-    "maxinner": "max_inner",
-    "alpha": "alpha",
-    "xi": "xi",
-    "masklengths": "mask_lengths",
-    # EMD
-    "maximfs": "max_imfs",
-    "sdthreshold": "sd_threshold",
-    "minextrema": "min_extrema",
-    "boundary": "boundary",
-    # EEMD
-    "nstd": "nstd",
-    "ne": "ne",
-    "numimfs": "num_imfs",
-    "seed": "seed",
-}
-
-_METHOD_OPTIONS = {
-    "emd": {"max_imfs", "max_inner", "sd_threshold", "min_extrema", "boundary"},
-    "eemd": {
-        "max_imfs",
-        "max_inner",
-        "sd_threshold",
-        "min_extrema",
-        "boundary",
-        "nstd",
-        "ne",
-        "num_imfs",
-    },
-    "if": {
-        "delta",
-        "ext_points",
-        "n_imfs",
-        "extension",
-        "max_inner",
-        "alpha",
-        "xi",
-        "mask_lengths",
-    },
-}
-
-_ALPHA_VALUES = {
-    "0": MaskLengthRule.FIXED0,
-    "fixed0": MaskLengthRule.FIXED0,
-    "1": MaskLengthRule.FIXED1,
-    "fixed1": MaskLengthRule.FIXED1,
-    "ave": MaskLengthRule.AVE,
-    "almost_min": MaskLengthRule.ALMOST_MIN,
-    "almostmin": MaskLengthRule.ALMOST_MIN,
-}
+_ALPHA_ALIASES = {"0": "fixed0", "1": "fixed1", "almostmin": "almost_min"}
 
 
 def _parse_alpha(text: str) -> MaskLengthRule:
     key = text.strip().lower()
-    if key not in _ALPHA_VALUES:
-        raise ValueError(f"alpha must be one of 0, 1, ave, almost_min (got {text!r})")
-    return _ALPHA_VALUES[key]
+    try:
+        return MaskLengthRule(_ALPHA_ALIASES.get(key, key))
+    except ValueError:
+        raise ValueError(
+            f"alpha must be one of 0, 1, ave, almost_min (got {text!r})"
+        ) from None
 
 
 def _parse_extension(text: str) -> BoundaryExtension:
@@ -307,14 +251,45 @@ def _parse_mask_lengths(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+# Every setting of the three methods: key -> (parser, help), in --help order.
+# The key names a field of EMDSettings, EEMDSettings or IFSettings (see
+# _FIELD_KEYS); "--" plus the key with dashes is its flag, and the key without
+# underscores its settings-file spelling. "seed" is the general --seed flag,
+# accepted by every method.
+_OPTIONS = {
+    "seed": (int, "EEMD noise seed"),
+    "delta": (float, "IF inner-loop stopping ratio (default 0.001)"),
+    "ext_points": (int, "IF outer-loop extrema threshold (default 3)"),
+    "n_imfs": (int, "IF maximum number of IMFs (default 1)"),
+    "extension": (_parse_extension, "IF boundary extension (default periodic)"),
+    "max_inner": (int, "maximum inner iterations (default 200)"),
+    "alpha": (_parse_alpha, "IF mask-length rule: 0, 1, ave, almost_min (default ave)"),
+    "xi": (float, "IF mask-length scale (default 1.6)"),
+    "mask_lengths": (_parse_mask_lengths, "IF comma-separated mask half-lengths"),
+    "max_imfs": (int, "EMD maximum number of IMFs (default 50)"),
+    "sd_threshold": (float, "EMD sifting threshold (default 0.2)"),
+    "min_extrema": (int, "EMD outer-loop extrema threshold (default 2)"),
+    "boundary": (_parse_extension, "EMD envelope boundary mode (default reflection)"),
+    "nstd": (float, "EEMD noise-to-signal std ratio (default 0.2)"),
+    "ne": (int, "EEMD ensemble size (default 100)"),
+    "num_imfs": (int, "EEMD fixed component count (default round(log2 n)-1)"),
+}
+
+_FIELD_KEYS = {"mask_lengths_override": "mask_lengths"}  # field -> key, if not equal
+_FILE_KEYS = {key.replace("_", ""): key for key in _OPTIONS}
+_FILE_KEYS["extensiontype"] = "extension"  # the Settings_IF name
+_METHOD_SETTINGS = {"emd": EMDSettings, "eemd": EEMDSettings, "if": IFSettings}
+
+
 def read_settings_file(path: str | Path) -> dict[str, str]:
     """Parse a key = value settings file mirroring the Settings_IF names.
 
     Keys are case-insensitive; an ``IF.``/``EEMD.`` prefix and underscores
     are ignored (``IF.Xi``, ``xi`` and ``IF.ExtPoints`` all work). Unknown
-    keys are rejected.
+    keys, and a key set twice under any spelling, are rejected.
     """
     result: dict[str, str] = {}
+    seen: dict[str, int] = {}  # option key -> line that set it
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -328,10 +303,54 @@ def read_settings_file(path: str | Path) -> dict[str, str]:
                 norm = norm[len(prefix) :]
                 break
         norm = norm.replace("_", "")
-        if norm not in _SETTINGS_KEYS:
+        if norm not in _FILE_KEYS:
             raise ParseError(f"{path}: line {lineno}: unknown setting {key!r}")
-        result[_SETTINGS_KEYS[norm]] = value
+        name = _FILE_KEYS[norm]
+        if name in seen:
+            raise ParseError(
+                f"{path}: line {lineno}: {name!r} already set on line {seen[name]}"
+            )
+        seen[name] = lineno
+        result[name] = value
     return result
+
+
+def _settings_fields(settings) -> list:
+    """(option key, field) per field of a settings class or object, in order."""
+    return [(_FIELD_KEYS.get(f.name, f.name), f) for f in fields(settings)]
+
+
+def _method_keys(cls) -> set[str]:
+    keys = set()
+    for key, f in _settings_fields(cls):
+        nested = f.default_factory  # EEMDSettings.emd
+        keys |= _method_keys(nested) if is_dataclass(nested) else {key}
+    return keys
+
+
+def build_options(method: str, raw: dict[str, str]) -> dict:
+    """Type-check raw option strings and reject ones foreign to the method."""
+    allowed = _method_keys(_METHOD_SETTINGS[method]) | {"seed"}
+    options: dict = {}
+    for key, value in raw.items():
+        if key not in allowed:
+            raise ValueError(f"option {key!r} is not valid for method {method!r}")
+        try:
+            options[key] = _OPTIONS[key][0](value)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key!r}: {exc}") from None
+    return options
+
+
+def _build_settings(cls, options: dict):
+    """A validated ``cls`` from build_options' values; EEMD nests EMDSettings."""
+    kwargs = {}
+    for key, f in _settings_fields(cls):
+        if is_dataclass(f.default_factory):
+            kwargs[f.name] = _build_settings(f.default_factory, options)
+        elif key in options:
+            kwargs[f.name] = options[key]
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,72 +364,13 @@ class RunConfig:
     method: str
     input_path: str
     output_dir: str
+    settings: EMDSettings | EEMDSettings | IFSettings  # from _build_settings
     value_col: str | None = None
     time_col: str | None = None
-    options: dict | None = None  # validated, typed, method-specific settings
     plot: bool = False
-    seed: int = 0
     threads: int = 1
     spectrum_bins: int = 128
     estimator: str = "hilbert"
-
-
-_OPTION_PARSERS = {
-    "delta": float,
-    "ext_points": int,
-    "n_imfs": int,
-    "extension": _parse_extension,
-    "max_inner": int,
-    "alpha": _parse_alpha,
-    "xi": float,
-    "mask_lengths": _parse_mask_lengths,
-    "max_imfs": int,
-    "sd_threshold": float,
-    "min_extrema": int,
-    "boundary": _parse_extension,
-    "nstd": float,
-    "ne": int,
-    "num_imfs": int,
-    "seed": int,
-}
-
-
-def build_options(method: str, raw: dict[str, str]) -> dict:
-    """Type-check raw option strings and reject ones foreign to the method."""
-    allowed = _METHOD_OPTIONS[method]
-    options: dict = {}
-    for key, value in raw.items():
-        if key == "seed":  # general flag, accepted everywhere
-            options[key] = int(value)
-            continue
-        if key not in allowed:
-            raise ValueError(f"option {key!r} is not valid for method {method!r}")
-        try:
-            options[key] = _OPTION_PARSERS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"bad value for {key!r}: {exc}") from None
-    return options
-
-
-def _emd_settings(options: dict) -> EMDSettings:
-    keys = {f.name for f in fields(EMDSettings)}
-    return EMDSettings(**{k: v for k, v in options.items() if k in keys})
-
-
-def _if_settings(options: dict) -> IFSettings:
-    opts = dict(options)
-    if "mask_lengths" in opts:
-        opts["mask_lengths_override"] = opts.pop("mask_lengths")
-    keys = {f.name for f in fields(IFSettings)}
-    return IFSettings(**{k: v for k, v in opts.items() if k in keys})
-
-
-def _eemd_settings(options: dict, seed: int) -> EEMDSettings:
-    inner = _emd_settings(options)
-    keys = {"nstd", "ne", "num_imfs"}
-    return EEMDSettings(
-        seed=seed, emd=inner, **{k: v for k, v in options.items() if k in keys}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +379,8 @@ def _eemd_settings(options: dict, seed: int) -> EEMDSettings:
 def _write_meta(path: Path, pairs: list[tuple[str, object]]) -> None:
     with path.open("w") as fh:
         for key, value in pairs:
-            if isinstance(value, BoundaryExtension) or isinstance(value, MaskLengthRule):
+            if isinstance(value, Enum):
                 value = value.value
-            elif isinstance(value, StopReason):
-                value = value.value
-            elif isinstance(value, float):
-                value = repr(value)
             fh.write(f"{key} = {value}\n")
 
 
@@ -438,7 +394,27 @@ def read_meta(path: str | Path) -> dict[str, str]:
     return result
 
 
-def _meta_pairs(cfg: RunConfig, settings, d: Decomposition, n: int, dt: float, t0: float):
+def _settings_pairs(settings, threads: int) -> list[tuple[str, object]]:
+    """meta.txt lines of a settings object, fields in declaration order."""
+    pairs: list[tuple[str, object]] = []
+    for key, f in _settings_fields(settings):
+        value = getattr(settings, f.name)
+        if is_dataclass(value):
+            pairs += _settings_pairs(value, threads)
+            continue
+        if key == "mask_lengths":
+            if not value:
+                continue
+            value = ",".join(str(v) for v in value)
+        elif value is None:  # num_imfs
+            value = "auto"
+        pairs.append((key, value))
+        if key == "seed":
+            pairs.append(("threads", threads))
+    return pairs
+
+
+def _meta_pairs(cfg: RunConfig, d: Decomposition, n: int, dt: float, t0: float):
     pairs: list[tuple[str, object]] = [
         ("method", cfg.method),
         ("input", cfg.input_path),
@@ -446,40 +422,7 @@ def _meta_pairs(cfg: RunConfig, settings, d: Decomposition, n: int, dt: float, t
         ("dt", dt),
         ("t0", t0),
     ]
-    if cfg.method == "emd":
-        emd_cfg = settings
-    elif cfg.method == "eemd":
-        pairs += [
-            ("nstd", settings.nstd),
-            ("ne", settings.ne),
-            ("seed", settings.seed),
-            ("threads", cfg.threads),
-            ("num_imfs", settings.num_imfs if settings.num_imfs is not None else "auto"),
-        ]
-        emd_cfg = settings.emd
-    else:
-        pairs += [
-            ("delta", settings.delta),
-            ("ext_points", settings.ext_points),
-            ("n_imfs", settings.n_imfs),
-            ("extension", settings.extension),
-            ("max_inner", settings.max_inner),
-            ("alpha", settings.alpha),
-            ("xi", settings.xi),
-        ]
-        if settings.mask_lengths_override:
-            pairs.append(
-                ("mask_lengths", ",".join(str(v) for v in settings.mask_lengths_override))
-            )
-        emd_cfg = None
-    if emd_cfg is not None:
-        pairs += [
-            ("max_imfs", emd_cfg.max_imfs),
-            ("max_inner", emd_cfg.max_inner),
-            ("sd_threshold", emd_cfg.sd_threshold),
-            ("min_extrema", emd_cfg.min_extrema),
-            ("boundary", emd_cfg.boundary),
-        ]
+    pairs += _settings_pairs(cfg.settings, cfg.threads)
     pairs.append(("imfs_extracted", len(d.imfs)))
     for i, m in enumerate(d.meta, start=1):
         pairs.append((f"imf{i}.iterations", m.inner_iterations))
@@ -533,24 +476,18 @@ def run(cfg: RunConfig) -> int:
     _require_positive("--spectrum-bins", cfg.spectrum_bins)
     _require_positive("--threads", cfg.threads)
     s = ingest_csv(cfg.input_path, value_col=cfg.value_col, time_col=cfg.time_col)
-    options = cfg.options or {}
     if cfg.method == "emd":
-        settings = _emd_settings(options)
-        d = emd(s, settings)
+        d = emd(s, cfg.settings)
     elif cfg.method == "eemd":
-        settings = _eemd_settings(options, cfg.seed)
-        d = eemd(s, settings, threads=cfg.threads)
+        d = eemd(s, cfg.settings, threads=cfg.threads)
     elif cfg.method == "if":
-        settings = _if_settings(options)
-        d = iterative_filtering(s, settings)
+        d = iterative_filtering(s, cfg.settings)
     else:
         raise ValueError(f"unknown method {cfg.method!r}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_imfs_csv(out / "imfs.csv", s, d)
-    _write_meta(
-        out / "meta.txt", _meta_pairs(cfg, settings, d, len(s), s.dt, s.t0)
-    )
+    _write_meta(out / "meta.txt", _meta_pairs(cfg, d, len(s), s.dt, s.t0))
     if len(s) >= 8:
         _write_traces_and_spectrum(
             out, d, cfg.estimator, cfg.spectrum_bins, cfg.plot
@@ -583,26 +520,6 @@ def run_info(input_path: str, value_col: str | None, time_col: str | None) -> in
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-_FLAG_OPTIONS = [
-    # (flag, option key, help)
-    ("--delta", "delta", "IF inner-loop stopping ratio (default 0.001)"),
-    ("--ext-points", "ext_points", "IF outer-loop extrema threshold (default 3)"),
-    ("--n-imfs", "n_imfs", "IF maximum number of IMFs (default 1)"),
-    ("--extension", "extension", "IF boundary extension (default periodic)"),
-    ("--max-inner", "max_inner", "maximum inner iterations (default 200)"),
-    ("--alpha", "alpha", "IF mask-length rule: 0, 1, ave, almost_min (default ave)"),
-    ("--xi", "xi", "IF mask-length scale (default 1.6)"),
-    ("--mask-lengths", "mask_lengths", "IF comma-separated mask half-lengths"),
-    ("--max-imfs", "max_imfs", "EMD maximum number of IMFs (default 50)"),
-    ("--sd-threshold", "sd_threshold", "EMD sifting threshold (default 0.2)"),
-    ("--min-extrema", "min_extrema", "EMD outer-loop extrema threshold (default 2)"),
-    ("--boundary", "boundary", "EMD envelope boundary mode (default reflection)"),
-    ("--nstd", "nstd", "EEMD noise-to-signal std ratio (default 0.2)"),
-    ("--ne", "ne", "EEMD ensemble size (default 100)"),
-    ("--num-imfs", "num_imfs", "EEMD fixed component count (default round(log2 n)-1)"),
-]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imfkit",
@@ -618,14 +535,16 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--value-col", help="value column (index or header name)")
     dec.add_argument("--time-col", help="time column (index, name, or 'none')")
     dec.add_argument("--plot", action="store_true", help="emit SVG plots")
-    dec.add_argument("--seed", type=int, default=None, help="EEMD noise seed")
+    dec.add_argument("--seed", type=int, help=_OPTIONS["seed"][1])
     dec.add_argument("--threads", type=int, default=1, help="EEMD worker threads")
     dec.add_argument("--spectrum-bins", type=int, default=128)
     dec.add_argument(
         "--estimator", choices=("hilbert", "derivative"), default="hilbert"
     )
-    for flag, key, help_text in _FLAG_OPTIONS:
-        dec.add_argument(flag, dest=f"opt_{key}", metavar="V", help=help_text)
+    for key, (_, help_text) in _OPTIONS.items():
+        if key != "seed":
+            flag = "--" + key.replace("_", "-")
+            dec.add_argument(flag, dest=key, metavar="V", help=help_text)
 
     spec = sub.add_parser("spectrum", help="recompute spectrum from a run directory")
     spec.add_argument("--in", dest="in_dir", required=True, help="run directory")
@@ -647,26 +566,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "decompose":
-            raw: dict[str, str] = {}
-            if args.settings:
-                raw.update(read_settings_file(args.settings))
-            for _, key, _ in _FLAG_OPTIONS:
-                value = getattr(args, f"opt_{key}")
-                if value is not None:
-                    raw[key] = value
+            raw = read_settings_file(args.settings) if args.settings else {}
+            # A flag beats the same key from the settings file.
+            raw.update((k, v) for k in _OPTIONS if (v := getattr(args, k)) is not None)
             options = build_options(args.method, raw)
-            # --seed beats a seed from the settings file.
-            file_seed = options.pop("seed", None)
-            seed = args.seed if args.seed is not None else (file_seed or 0)
             cfg = RunConfig(
                 method=args.method,
                 input_path=args.input,
                 output_dir=args.out,
+                settings=_build_settings(_METHOD_SETTINGS[args.method], options),
                 value_col=args.value_col,
                 time_col=args.time_col,
-                options=options,
                 plot=args.plot,
-                seed=seed,
                 threads=args.threads,
                 spectrum_bins=args.spectrum_bins,
                 estimator=args.estimator,

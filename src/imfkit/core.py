@@ -185,6 +185,17 @@ def _extrema_indices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx_max.astype(np.intp), idx_min.astype(np.intp)
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x times 2**-exp, with exp chosen so that max|x| lands in [0.5, 1).
+
+    Scaling by a power of two is exact, so a loop that stops on a ratio of
+    squared norms can run on the copy without overflow or underflow at any
+    input scale, and ``np.ldexp(result, exp)`` restores the input scale.
+    """
+    _, exp = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -exp), int(exp)
+
+
 def extend(s: Signal, mode: BoundaryExtension, pad: int) -> Signal:
     """Extend a signal by ``pad`` samples on each side.
 

@@ -72,11 +72,11 @@ def noise_member(s: Signal, cfg: EEMDSettings, k: int) -> Signal:
 
 
 def _aligned_member(
-    x: np.ndarray, s: Signal, cfg: EEMDSettings, num_imfs: int
+    member: Signal, cfg: EEMDSettings, num_imfs: int
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, StopReason]]]:
     """Decompose one member and align it to num_imfs components."""
-    d = emd(s.with_samples(x), cfg.emd)
-    imfs = np.zeros((num_imfs, x.size))
+    d = emd(member, cfg.emd)
+    imfs = np.zeros((num_imfs, len(member)))
     residual = d.residual.samples.copy()
     stats = []
     for i, (imf, m) in enumerate(zip(d.imfs, d.meta)):
@@ -104,17 +104,11 @@ def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomp
     if scale == 0.0:
         # Zero noise: every member is identical, so the ensemble collapses
         # to a single EMD run (kept exact rather than averaged).
-        imfs, residual, stats = _aligned_member(
-            s.samples.astype(np.float64), s, cfg, num_imfs
-        )
+        imfs, residual, stats = _aligned_member(s, cfg, num_imfs)
         member_stats = [stats]
     else:
-        base = s.samples.astype(np.float64)
-
         def member(k: int):
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, k]))
-            noisy = base + scale * rng.standard_normal(base.size)
-            return _aligned_member(noisy, s, cfg, num_imfs)
+            return _aligned_member(noise_member(s, cfg, k), cfg, num_imfs)
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -21,6 +21,7 @@ from .core import (
     StopReason,
     TooFewExtrema,
     _extrema_indices,
+    _unit_scaled,
 )
 
 
@@ -121,7 +122,7 @@ def sift_once(s: Signal, boundary: BoundaryExtension | None = None) -> Signal:
 def _extract_imf_arr(
     x: np.ndarray, cfg: EMDSettings
 ) -> tuple[np.ndarray, int, StopReason]:
-    cur = x.astype(np.float64, copy=True)
+    cur, exp = _unit_scaled(x)  # keeps the stopping ratio scale-invariant
     iterations = 0
     reason = StopReason.MAX_INNER_REACHED
     for it in range(1, cfg.max_inner + 1):
@@ -140,7 +141,7 @@ def _extract_imf_arr(
         if denom == 0.0 or num < cfg.sd_threshold * denom:
             reason = StopReason.DELTA_REACHED
             break
-    return cur, iterations, reason
+    return np.ldexp(cur, exp), iterations, reason
 
 
 def extract_imf(

@@ -28,6 +28,7 @@ from .core import (
     StopReason,
     TooFewExtrema,
     _extrema_indices,
+    _unit_scaled,
 )
 
 
@@ -212,7 +213,7 @@ def _if_extract_arr(
     mask: MaskFunction,
     cfg: IFSettings,
 ) -> tuple[np.ndarray, int, StopReason]:
-    cur = x.astype(np.float64, copy=True)
+    cur, exp = _unit_scaled(x)  # keeps the stopping ratio scale-invariant
     if float(np.linalg.norm(cur)) == 0.0:
         # 0/0 ratio convention: an identically zero signal is converged.
         return cur, 0, StopReason.DELTA_REACHED
@@ -228,7 +229,7 @@ def _if_extract_arr(
         if den == 0.0 or num < cfg.delta * den:
             reason = StopReason.DELTA_REACHED
             break
-    return cur, iterations, reason
+    return np.ldexp(cur, exp), iterations, reason
 
 
 def if_extract(

@@ -1,0 +1,127 @@
+"""sha256 of every file a fixed set of imfkit CLI runs writes.
+
+Usage::
+
+    PYTHONPATH=src python3 tools/output_hashes.py > hashes.txt
+
+The script writes a seeded fixture signal into a temporary directory and
+runs a fixed list of configurations through ``imfkit.cli.main`` there,
+with a relative input path, so ``meta.txt``'s ``input =`` line is the same
+in every checkout. ``decompose --help`` and a few error messages are
+captured into files of their own. It prints one ``sha256  relpath`` line
+per file, sorted by path. Run it against two source trees and ``diff`` the
+outputs to check that a change keeps the output bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SETTINGS = (
+    "IF.Xi = 3\nIF.NIMFs = 3\nIF.ExtensionType = Reflection\nIF.alpha = almost_min\n"
+)
+
+# (output directory, CLI arguments); "in_long.csv" has 2048 samples and
+# "in_short.csv" 600, on either side of IF's direct/FFT convolution switch.
+RUNS = [
+    ("emd", ["decompose", "--method", "emd", "--input", "in_short.csv", "--plot"]),
+    ("emd-deriv", ["decompose", "--method", "emd", "--input", "in_long.csv",
+                   "--estimator", "derivative", "--max-imfs", "3",
+                   "--boundary", "periodic"]),
+    ("eemd", ["decompose", "--method", "eemd", "--input", "in_short.csv",
+              "--ne", "6", "--seed", "3", "--threads", "2", "--plot"]),
+    ("eemd-deriv", ["decompose", "--method", "eemd", "--input", "in_short.csv",
+                    "--ne", "4", "--nstd", "0.1", "--num-imfs", "4",
+                    "--estimator", "derivative", "--spectrum-bins", "40"]),
+    ("if-long", ["decompose", "--method", "if", "--input", "in_long.csv",
+                 "--xi", "3", "--n-imfs", "4", "--plot"]),
+    ("if-long-deriv", ["decompose", "--method", "if", "--input", "in_long.csv",
+                       "--xi", "3", "--n-imfs", "4", "--estimator", "derivative",
+                       "--spectrum-bins", "40"]),
+    ("if-periodic", ["decompose", "--method", "if", "--input", "in_short.csv",
+                     "--n-imfs", "3", "--extension", "periodic", "--alpha", "0"]),
+    ("if-reflection", ["decompose", "--method", "if", "--input", "in_short.csv",
+                       "--n-imfs", "3", "--extension", "reflection", "--delta", "0.01"]),
+    ("if-constant", ["decompose", "--method", "if", "--input", "in_short.csv",
+                     "--n-imfs", "3", "--extension", "constant", "--max-inner", "50"]),
+    ("if-masks", ["decompose", "--method", "if", "--input", "in_short.csv",
+                  "--mask-lengths", "5,9", "--n-imfs", "3", "--ext-points", "4"]),
+    ("if-settings", ["decompose", "--method", "if", "--input", "in_short.csv",
+                     "--settings", "settings.cfg", "--plot"]),
+    ("if-zero", ["decompose", "--method", "if", "--input", "ramp.csv", "--plot"]),
+    ("spectrum-energy", ["decompose", "--method", "if", "--input", "in_short.csv",
+                         "--xi", "3", "--n-imfs", "3"]),
+]
+
+# Commands whose stdout/stderr text is part of the compared output.
+TEXTS = [
+    ("decompose-help.txt", ["decompose", "--help"]),
+    ("error-foreign-flag.txt", ["decompose", "--method", "emd", "--input", "in_short.csv",
+                                "--out", "x", "--xi", "3"]),
+    ("error-alpha.txt", ["decompose", "--method", "if", "--input", "in_short.csv",
+                         "--out", "x", "--alpha", "bogus"]),
+    ("error-extension.txt", ["decompose", "--method", "if", "--input", "in_short.csv",
+                             "--out", "x", "--extension", "bogus"]),
+]
+
+
+def _write_inputs() -> None:
+    rng = np.random.default_rng(2017)
+    for name, n in (("in_long.csv", 2048), ("in_short.csv", 600)):
+        t = 0.25 + np.arange(n) / 512
+        x = np.sin(2 * np.pi * 1.5 * t) + 0.5 * np.sin(2 * np.pi * 37 * t)
+        x += 0.1 * rng.standard_normal(n)
+        rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, x))
+        Path(name).write_text("t,v\n" + rows)
+    Path("ramp.csv").write_text("".join(f"{0.5 * i!r}\n" for i in range(40)))
+    Path("settings.cfg").write_text(SETTINGS)
+
+
+def _capture(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def main() -> int:
+    os.environ["COLUMNS"] = "100"  # argparse wraps --help to the terminal width
+    from imfkit.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        _write_inputs()
+        for out, argv in RUNS:
+            code = cli_main([*argv, "--out", out])
+            if code != 0:
+                print(f"run {out} exited {code}", file=sys.stderr)
+                return 1
+        code = cli_main(["spectrum", "--in", "spectrum-energy", "--bins", "24",
+                         "--weight", "energy", "--plot"])
+        if code != 0:
+            print(f"spectrum exited {code}", file=sys.stderr)
+            return 1
+        Path("texts").mkdir()
+        for name, argv in TEXTS:
+            (Path("texts") / name).write_text(_capture(cli_main, argv))
+        inputs = {"in_long.csv", "in_short.csv", "ramp.csv", "settings.cfg"}
+        for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+            if path.as_posix() not in inputs:
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{digest}  {path.as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
