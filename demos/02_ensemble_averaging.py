@@ -7,7 +7,7 @@ perturbation. The ensemble variant decomposes many noisy copies of the
 signal and averages the aligned components, which stabilizes the result.
 The added noise averages out at a rate of 1/sqrt(ensemble size), and the
 member streams are seeded per index, so the output is reproducible and
-independent of how many worker threads computed it.
+independent of how many worker processes computed it.
 """
 
 import numpy as np
@@ -33,4 +33,4 @@ d_again = eemd(signal, cfg, threads=1)
 identical = all(
     np.array_equal(a.samples, b.samples) for a, b in zip(d.imfs, d_again.imfs)
 )
-print(f"bit-identical across thread counts: {identical}")
+print(f"bit-identical across worker counts: {identical}")

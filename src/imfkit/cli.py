@@ -536,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--time-col", help="time column (index, name, or 'none')")
     dec.add_argument("--plot", action="store_true", help="emit SVG plots")
     dec.add_argument("--seed", type=int, help=_OPTIONS["seed"][1])
-    dec.add_argument("--threads", type=int, default=1, help="EEMD worker threads")
+    dec.add_argument("--threads", type=int, default=1, help="EEMD worker processes")
     dec.add_argument("--spectrum-bins", type=int, default=128)
     dec.add_argument(
         "--estimator", choices=("hilbert", "derivative"), default="hilbert"

@@ -29,15 +29,20 @@ SETTINGS = (
     "IF.Xi = 3\nIF.NIMFs = 3\nIF.ExtensionType = Reflection\nIF.alpha = almost_min\n"
 )
 
+EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
+        "--ne", "6", "--seed", "3", "--plot"]
+
 # (output directory, CLI arguments); "in_long.csv" has 2048 samples and
 # "in_short.csv" 600, on either side of IF's direct/FFT convolution switch.
+# "eemd" and "eemd-1t" differ only in --threads, so every file of theirs but
+# meta.txt (its "threads =" line) must hash the same.
 RUNS = [
     ("emd", ["decompose", "--method", "emd", "--input", "in_short.csv", "--plot"]),
     ("emd-deriv", ["decompose", "--method", "emd", "--input", "in_long.csv",
                    "--estimator", "derivative", "--max-imfs", "3",
                    "--boundary", "periodic"]),
-    ("eemd", ["decompose", "--method", "eemd", "--input", "in_short.csv",
-              "--ne", "6", "--seed", "3", "--threads", "2", "--plot"]),
+    ("eemd", [*EEMD, "--threads", "2"]),
+    ("eemd-1t", [*EEMD, "--threads", "1"]),
     ("eemd-deriv", ["decompose", "--method", "eemd", "--input", "in_short.csv",
                     "--ne", "4", "--nstd", "0.1", "--num-imfs", "4",
                     "--estimator", "derivative", "--spectrum-bins", "40"]),
