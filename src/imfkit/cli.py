@@ -150,7 +150,8 @@ def ingest_csv(
 
 
 # CSV text is formatted column by column for a block of this many rows at
-# a time, so the text held in memory stays bounded on long signals.
+# a time, so the text held in memory stays bounded on long signals. The one
+# exception is the time column, which a run formats once for all its files.
 _ROW_BLOCK = 4096
 
 
@@ -159,18 +160,28 @@ def _format_column(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
 
-def _write_csv(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
+def _write_csv(path: Path, columns: list[tuple[str, np.ndarray | list[str]]]) -> None:
+    """Named columns of floats, or of their text already formatted."""
     names = [name for name, _ in columns]
-    arrays = [arr for _, arr in columns]
+    cols = [col for _, col in columns]
     with path.open("w") as fh:
         fh.write(",".join(names) + "\n")
-        for lo in range(0, arrays[0].size, _ROW_BLOCK):
-            cells = [_format_column(a[lo : lo + _ROW_BLOCK]) for a in arrays]
+        for lo in range(0, len(cols[0]), _ROW_BLOCK):
+            cells = [
+                c[lo : lo + _ROW_BLOCK]
+                if isinstance(c, list)
+                else _format_column(c[lo : lo + _ROW_BLOCK])
+                for c in cols
+            ]
             fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
-def _write_spectrum_csv(path: Path, grid: TimeFrequencyGrid) -> None:
+def _write_spectrum_csv(
+    path: Path, grid: TimeFrequencyGrid, time_text: list[str]
+) -> None:
     """time plus one column per bin center; zero cells are written "0.0".
+
+    ``time_text`` is ``grid.times``, already formatted.
 
     Each row holds at most one nonzero cell per IMF, so only the nonzero
     cells are formatted and the zero runs between them are spliced in.
@@ -182,7 +193,7 @@ def _write_spectrum_csv(path: Path, grid: TimeFrequencyGrid) -> None:
         fh.write(",".join(["time", *_format_column(centers)]) + "\n")
         for lo in range(0, grid.times.size, _ROW_BLOCK):
             block = grid.amplitude[lo : lo + _ROW_BLOCK]
-            lines = [[t] for t in _format_column(grid.times[lo : lo + _ROW_BLOCK])]
+            lines = [[t] for t in time_text[lo : lo + _ROW_BLOCK]]
             last = [-1] * len(lines)  # column of each row's latest nonzero cell
             rows, cols = np.nonzero(block)
             values = _format_column(block[rows, cols])
@@ -197,9 +208,20 @@ def _write_spectrum_csv(path: Path, grid: TimeFrequencyGrid) -> None:
             )
 
 
-def write_imfs_csv(path: str | Path, source: Signal, d: Decomposition) -> None:
-    """time, imf1..imfK, residual, as shortest round-trip decimals."""
-    cols: list[tuple[str, np.ndarray]] = [("time", source.times)]
+def write_imfs_csv(
+    path: str | Path,
+    source: Signal,
+    d: Decomposition,
+    *,
+    time_text: list[str] | None = None,
+) -> None:
+    """time, imf1..imfK, residual, as shortest round-trip decimals.
+
+    ``time_text``, when given, holds ``source.times`` already formatted
+    (see ``_format_column``), so a run formats its time axis only once.
+    """
+    times = time_text if time_text is not None else source.times
+    cols: list[tuple[str, np.ndarray | list[str]]] = [("time", times)]
     cols += [(f"imf{i + 1}", imf.samples) for i, imf in enumerate(d.imfs)]
     cols.append(("residual", d.residual.samples))
     _write_csv(Path(path), cols)
@@ -435,18 +457,20 @@ def _meta_pairs(cfg: RunConfig, d: Decomposition, n: int, dt: float, t0: float):
 def _write_traces_and_spectrum(
     out: Path,
     d: Decomposition,
+    time_text: list[str],
     estimator: str,
     nbins: int,
     plot: bool,
     weight: str = "amplitude",
 ) -> None:
-    times = d.residual.times
+    """iftrace_k.csv per IMF and spectrum.csv; ``time_text`` is
+    ``d.residual.times``, formatted."""
     traces = [specfreq._ESTIMATORS[estimator](imf) for imf in d.imfs]
     for i, trace in enumerate(traces, start=1):
         _write_csv(
             out / f"iftrace_{i}.csv",
             [
-                ("time", times),
+                ("time", time_text),
                 ("amplitude", trace.amplitude.samples),
                 ("frequency", trace.frequency.samples),
                 ("valid", trace.valid_mask.astype(np.float64)),
@@ -458,10 +482,11 @@ def _write_traces_and_spectrum(
         )
     else:
         edges = np.linspace(0.0, 0.5 / d.residual.dt, nbins + 1)
+        times = d.residual.times
         grid = TimeFrequencyGrid(
             times=times, freqs=edges, amplitude=np.zeros((times.size, nbins))
         )
-    _write_spectrum_csv(out / "spectrum.csv", grid)
+    _write_spectrum_csv(out / "spectrum.csv", grid, time_text)
     if plot:
         (out / "spectrum.svg").write_text(render_spectrum_svg(grid))
 
@@ -486,11 +511,14 @@ def run(cfg: RunConfig) -> int:
         raise ValueError(f"unknown method {cfg.method!r}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_imfs_csv(out / "imfs.csv", s, d)
+    # Every component shares the input's time grid, so d.residual.times
+    # equals s.times and one formatted copy serves every CSV file.
+    time_text = _format_column(s.times)
+    write_imfs_csv(out / "imfs.csv", s, d, time_text=time_text)
     _write_meta(out / "meta.txt", _meta_pairs(cfg, d, len(s), s.dt, s.t0))
     if len(s) >= 8:
         _write_traces_and_spectrum(
-            out, d, cfg.estimator, cfg.spectrum_bins, cfg.plot
+            out, d, time_text, cfg.estimator, cfg.spectrum_bins, cfg.plot
         )
     if cfg.plot:
         (out / "decomposition.svg").write_text(render_decomposition_svg(s, d))
@@ -502,7 +530,8 @@ def run_spectrum(in_dir: str, bins: int, estimator: str, weight: str, plot: bool
     _require_positive("--bins", bins)
     out = Path(in_dir)
     _, d = read_imfs_csv(out / "imfs.csv")
-    _write_traces_and_spectrum(out, d, estimator, bins, plot, weight=weight)
+    time_text = _format_column(d.residual.times)
+    _write_traces_and_spectrum(out, d, time_text, estimator, bins, plot, weight=weight)
     return 0
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 
 class DecompositionError(Exception):
@@ -183,6 +184,56 @@ def _extrema_indices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx_max = mid[flip & (sign[:-1] > 0)]
     idx_min = mid[flip & (sign[:-1] < 0)]
     return idx_max.astype(np.intp), idx_min.astype(np.intp)
+
+
+def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
+    """Natural cubic spline through the knots (pos, val), sampled at 0..n-1.
+
+    Bit-identical to ``CubicSpline(pos, val, bc_type="natural")(np.arange(n))``
+    of scipy 1.17: the same slope-form tridiagonal system, solved by the
+    LAPACK ``dgtsv`` that ``solve_banded((1, 1), ...)`` calls (it pivots
+    where a knot gap more than doubles), the same Hermite coefficients and
+    the same power-sum evaluation order. ``pos`` must hold at least two
+    strictly increasing integer values with ``pos[0] <= 0`` and
+    ``pos[-1] >= n - 1``: then every sample point lies in a knot interval,
+    and the points of interval i are the integers in
+    ``[pos[i], pos[i+1])`` (the last interval closed), so the interval of
+    each point comes from the knot gaps without a search.
+    """
+    m = pos.size
+    dx = np.diff(pos)
+    slope = np.diff(val) / dx
+    d = np.empty(m)
+    d[0] = 2 * dx[0]
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    d[-1] = 2 * dx[-1]
+    b = np.empty(m)
+    # The natural end conditions, written as scipy writes any second-derivative
+    # condition (here 0.0); the zero terms fix the sign of a zero right side.
+    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (val[1] - val[0])
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (val[-1] - val[-2])
+    lower = np.concatenate([dx[1:], dx[-1:]])
+    upper = np.concatenate([dx[:1], dx[:-1]])
+    _, _, _, s, info = dgtsv(
+        lower, d, upper, b,
+        overwrite_dl=True, overwrite_d=True, overwrite_du=True, overwrite_b=True,
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError("singular spline system")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    coef = np.empty((5, m - 1))
+    coef[0] = t / dx
+    coef[1] = (slope - s[:-1]) / dx - t
+    coef[2] = s[:-1]
+    coef[3] = val[:-1]
+    coef[4] = pos[:-1]
+    edges = np.clip(pos, 0, n).astype(np.intp)
+    edges[-1] = n
+    c0, c1, c2, c3, start = np.repeat(coef, np.diff(edges), axis=1)
+    u = np.arange(n) - start
+    uu = u * u
+    return ((0.0 + c3) + c2 * u) + c1 * uu + c0 * (uu * u)
 
 
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:

@@ -99,9 +99,9 @@ def _in_member_order(task, ne: int, workers: int):
         yield from map(task, range(ne))
         return
     # Imported here so that ``import imfkit`` loads no process machinery.
-    # Fork, not spawn or forkserver: forked workers inherit numpy and scipy
-    # already imported, where spawned ones would import them again, ~0.8 s
-    # per worker on a 2-core x86 host.
+    # Fork, not spawn or forkserver: forked workers inherit numpy and
+    # scipy.linalg already imported, where spawned ones would import them
+    # again, ~0.6 s per worker on a 2-core x86 host.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -127,25 +127,22 @@ def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomp
         raise ValueError(f"threads must be >= 1 (got {threads})")
     cfg = cfg if cfg is not None else EEMDSettings()
     num_imfs = cfg.num_imfs if cfg.num_imfs is not None else _default_num_imfs(len(s))
-    scale = _noise_scale(s, cfg)
-
-    if scale == 0.0:
-        # Zero noise: every member is identical, so the ensemble collapses
-        # to a single EMD run of the input (kept exact rather than averaged).
-        imfs, residual, stats = _member(s, cfg, num_imfs, 0)
-        member_stats = [stats]
-    else:
-        members = np.empty((cfg.ne, num_imfs, len(s)))
-        residuals = np.empty((cfg.ne, len(s)))
-        member_stats = []
-        task = partial(_member, s, cfg, num_imfs)
-        results = _in_member_order(task, cfg.ne, min(threads, cfg.ne))
-        for k, (member_imfs, member_residual, stats) in enumerate(results):
-            members[k] = member_imfs
-            residuals[k] = member_residual
-            member_stats.append(stats)
-        imfs = np.mean(members, axis=0)
-        residual = np.mean(residuals, axis=0)
+    # Zero noise: every member is identical, so the ensemble collapses to a
+    # single EMD run of the input.
+    ne = cfg.ne if _noise_scale(s, cfg) > 0.0 else 1
+    task = partial(_member, s, cfg, num_imfs)
+    results = _in_member_order(task, ne, min(threads, ne))
+    # Running sums in member order, started from member 0 itself rather than
+    # from zeros (0.0 + -0.0 is 0.0): the same bits as np.mean over all
+    # members stacked, without holding them.
+    imfs, residual, stats = next(results)
+    member_stats = [stats]
+    for member_imfs, member_residual, stats in results:
+        imfs += member_imfs
+        residual += member_residual
+        member_stats.append(stats)
+    imfs /= ne
+    residual /= ne
 
     meta = []
     for i in range(num_imfs):

@@ -4,6 +4,9 @@ The sifting step subtracts the pointwise mean of the upper and lower
 natural-cubic-spline envelopes (through the maxima and minima) from the
 signal; repeating it drives the iterate toward an intrinsic mode function.
 Extracted IMFs are subtracted from the signal until no oscillation is left.
+The envelopes come from :func:`imfkit.core._natural_spline`, which is
+bit-identical to scipy's ``CubicSpline(..., bc_type="natural")`` on the
+sample grid.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import (
     BoundaryExtension,
@@ -21,6 +23,7 @@ from .core import (
     StopReason,
     TooFewExtrema,
     _extrema_indices,
+    _natural_spline,
     _unit_scaled,
 )
 
@@ -89,11 +92,8 @@ def _envelope_mean_arr(
             f"envelopes need at least one maximum and one minimum, "
             f"found {idx_max.size} maxima / {idx_min.size} minima"
         )
-    grid = np.arange(x.size)
-    pos, val = _envelope_knots(idx_max, x, boundary)
-    upper = CubicSpline(pos, val, bc_type="natural")(grid)
-    pos, val = _envelope_knots(idx_min, x, boundary)
-    lower = CubicSpline(pos, val, bc_type="natural")(grid)
+    upper = _natural_spline(*_envelope_knots(idx_max, x, boundary), x.size)
+    lower = _natural_spline(*_envelope_knots(idx_min, x, boundary), x.size)
     return 0.5 * (upper + lower)
 
 

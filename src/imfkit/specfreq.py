@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .core import Decomposition, Signal, _extrema_indices
+from .core import Decomposition, Signal, _extrema_indices, _natural_spline
 
 DEFAULT_BOUNDARY_FRACTION = 0.05
 DEFAULT_AMPLITUDE_FLOOR = 1e-8
@@ -216,13 +215,17 @@ def hilbert_if(
 
 
 def _abs_envelope(x: np.ndarray) -> np.ndarray:
-    """Envelope of |x| through its local maxima (natural cubic spline)."""
+    """Envelope of |x| through its local maxima (natural cubic spline).
+
+    The spline is :func:`imfkit.core._natural_spline`, bit-identical to
+    scipy's ``CubicSpline(..., bc_type="natural")`` on the sample grid.
+    """
     absx = np.abs(x)
     idx_max, _ = _extrema_indices(absx)
     # Endpoints are included as knots so the spline covers the full grid.
     pos = np.concatenate([[0], idx_max, [absx.size - 1]]).astype(np.float64)
     val = np.concatenate([[absx[0]], absx[idx_max], [absx[-1]]])
-    env = CubicSpline(pos, val, bc_type="natural")(np.arange(absx.size))
+    env = _natural_spline(pos, val, absx.size)
     return np.maximum(env, 0.0)
 
 

@@ -35,9 +35,13 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 # (output directory, CLI arguments); "in_long.csv" has 2048 samples and
 # "in_short.csv" 600, on either side of IF's direct/FFT convolution switch.
 # "eemd" and "eemd-1t" differ only in --threads, so every file of theirs but
-# meta.txt (its "threads =" line) must hash the same.
+# meta.txt (its "threads =" line) must hash the same. "emd" (reflection),
+# "emd-constant" and "emd-deriv" (periodic) cover the three envelope
+# boundary modes.
 RUNS = [
     ("emd", ["decompose", "--method", "emd", "--input", "in_short.csv", "--plot"]),
+    ("emd-constant", ["decompose", "--method", "emd", "--input", "in_short.csv",
+                      "--boundary", "constant"]),
     ("emd-deriv", ["decompose", "--method", "emd", "--input", "in_long.csv",
                    "--estimator", "derivative", "--max-imfs", "3",
                    "--boundary", "periodic"]),
