@@ -188,7 +188,7 @@ def _write_spectrum_csv(
     """
     centers = 0.5 * (grid.freqs[:-1] + grid.freqs[1:])
     nbins = centers.size
-    zeros = [",0.0" * k for k in range(nbins + 1)]
+    zeros = ",0.0" * nbins  # a run of k zero cells is zeros[: 4 * k]
     with path.open("w") as fh:
         fh.write(",".join(["time", *_format_column(centers)]) + "\n")
         for lo in range(0, grid.times.size, _ROW_BLOCK):
@@ -198,11 +198,11 @@ def _write_spectrum_csv(
             rows, cols = np.nonzero(block)
             values = _format_column(block[rows, cols])
             for r, c, text in zip(rows.tolist(), cols.tolist(), values):
-                lines[r].append(zeros[c - last[r] - 1] + "," + text)
+                lines[r].append(zeros[: 4 * (c - last[r] - 1)] + "," + text)
                 last[r] = c
             fh.write(
                 "".join(
-                    "".join(line) + zeros[nbins - 1 - c] + "\n"
+                    "".join(line) + zeros[: 4 * (nbins - 1 - c)] + "\n"
                     for line, c in zip(lines, last)
                 )
             )
@@ -481,10 +481,11 @@ def _write_traces_and_spectrum(
             d, nbins=nbins, estimator=estimator, weight=weight, traces=traces
         )
     else:
-        edges = np.linspace(0.0, 0.5 / d.residual.dt, nbins + 1)
         times = d.residual.times
         grid = TimeFrequencyGrid(
-            times=times, freqs=edges, amplitude=np.zeros((times.size, nbins))
+            times=times,
+            freqs=specfreq._bin_edges(d.residual.dt, nbins),
+            amplitude=np.zeros((times.size, nbins)),
         )
     _write_spectrum_csv(out / "spectrum.csv", grid, time_text)
     if plot:
@@ -555,6 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decompose nonstationary signals into intrinsic mode functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    estimators = tuple(specfreq._ESTIMATORS)
 
     dec = sub.add_parser("decompose", help="run a decomposition on a CSV signal")
     dec.add_argument("--method", required=True, choices=("emd", "eemd", "if"))
@@ -567,9 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--seed", type=int, help=_OPTIONS["seed"][1])
     dec.add_argument("--threads", type=int, default=1, help="EEMD worker processes")
     dec.add_argument("--spectrum-bins", type=int, default=128)
-    dec.add_argument(
-        "--estimator", choices=("hilbert", "derivative"), default="hilbert"
-    )
+    dec.add_argument("--estimator", choices=estimators, default="hilbert")
     for key, (_, help_text) in _OPTIONS.items():
         if key != "seed":
             flag = "--" + key.replace("_", "-")
@@ -578,9 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spec = sub.add_parser("spectrum", help="recompute spectrum from a run directory")
     spec.add_argument("--in", dest="in_dir", required=True, help="run directory")
     spec.add_argument("--bins", type=int, default=128)
-    spec.add_argument(
-        "--estimator", choices=("hilbert", "derivative"), default="hilbert"
-    )
+    spec.add_argument("--estimator", choices=estimators, default="hilbert")
     spec.add_argument("--weight", choices=("amplitude", "energy"), default="amplitude")
     spec.add_argument("--plot", action="store_true")
 

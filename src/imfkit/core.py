@@ -189,14 +189,18 @@ def _extrema_indices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through the knots (pos, val), sampled at 0..n-1.
 
-    Bit-identical to ``CubicSpline(pos, val, bc_type="natural")(np.arange(n))``
-    of scipy 1.17: the same slope-form tridiagonal system, solved by the
-    LAPACK ``dgtsv`` that ``solve_banded((1, 1), ...)`` calls (it pivots
-    where a knot gap more than doubles), the same Hermite coefficients and
-    the same power-sum evaluation order. ``pos`` must hold at least two
-    strictly increasing integer values with ``pos[0] <= 0`` and
-    ``pos[-1] >= n - 1``: then every sample point lies in a knot interval,
-    and the points of interval i are the integers in
+    The samples are bit-identical to
+    ``CubicSpline(pos, val, bc_type="natural")(np.arange(n))`` of scipy 1.17:
+    the same slope-form tridiagonal system, solved by the LAPACK ``dgtsv``
+    that ``solve_banded((1, 1), ...)`` calls (it pivots where a knot gap
+    more than doubles), the same Hermite coefficients and the same
+    power-sum evaluation order. scipy's end rows also add
+    ``-/+ 0.5 * 0.0 * dx**2``, which can change only the sign of a zero in
+    the solution; no sample shows it, as their sum starts from +0.0.
+
+    ``pos`` must hold at least two strictly increasing integer values with
+    ``pos[0] <= 0`` and ``pos[-1] >= n - 1``: then every sample point lies
+    in a knot interval, and the points of interval i are the integers in
     ``[pos[i], pos[i+1])`` (the last interval closed), so the interval of
     each point comes from the knot gaps without a search.
     """
@@ -208,11 +212,9 @@ def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
     d[1:-1] = 2 * (dx[:-1] + dx[1:])
     d[-1] = 2 * dx[-1]
     b = np.empty(m)
-    # The natural end conditions, written as scipy writes any second-derivative
-    # condition (here 0.0); the zero terms fix the sign of a zero right side.
-    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (val[1] - val[0])
+    b[0] = 3 * (val[1] - val[0])
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (val[-1] - val[-2])
+    b[-1] = 3 * (val[-1] - val[-2])
     lower = np.concatenate([dx[1:], dx[-1:]])
     upper = np.concatenate([dx[:1], dx[:-1]])
     _, _, _, s, info = dgtsv(

@@ -191,21 +191,13 @@ def _mask_operator(
     return lambda x: np.convolve(np.pad(x, l, mode=mode), weights, mode="valid")
 
 
-def _moving_average_arr(
-    x: np.ndarray,
-    mask: MaskFunction,
-    extension: BoundaryExtension,
-) -> np.ndarray:
-    return _mask_operator(mask, x.size, extension)(x)
-
-
 def moving_average(s: Signal, w: MaskFunction, ext: BoundaryExtension) -> Signal:
     """Convolve the boundary-extended signal with the mask weights.
 
     Uses an FFT circular convolution for periodic extension on long
     signals, a direct sum otherwise; the two paths agree to 1e-10.
     """
-    return s.with_samples(_moving_average_arr(s.samples, w, ext))
+    return s.with_samples(_mask_operator(w, len(s), ext)(s.samples))
 
 
 def _if_extract_arr(

@@ -283,6 +283,11 @@ def derivative_if(
 _ESTIMATORS = {"hilbert": hilbert_if, "derivative": derivative_if}
 
 
+def _bin_edges(dt: float, nbins: int) -> np.ndarray:
+    """The nbins+1 uniform frequency-bin edges over [0, 1/(2*dt)]."""
+    return np.linspace(0.0, 0.5 / dt, nbins + 1)
+
+
 def hilbert_spectrum(
     d: Decomposition,
     nbins: int,
@@ -317,8 +322,8 @@ def hilbert_spectrum(
         traces = map(_ESTIMATORS[estimator], d.imfs)
     elif len(traces) != len(d.imfs) or any(len(t.frequency) != n for t in traces):
         raise ValueError("traces must hold one trace per IMF, each of the IMF length")
-    fmax = 0.5 / ref.dt
-    edges = np.linspace(0.0, fmax, nbins + 1)
+    edges = _bin_edges(ref.dt, nbins)
+    fmax = edges[-1]
     grid = np.zeros((n, nbins))
     rows = np.arange(n)
     for trace in traces:

@@ -1,7 +1,10 @@
 """Minimal deterministic SVG emission for decompositions and spectra.
 
 Plots are plain SVG 1.1 text (polylines and rects), so output files are
-self-contained, diffable and need no rendering backend.
+self-contained, diffable and need no rendering backend. The spectrum heat
+map draws one rect per nonzero cell of its pooled grid and leaves the rest
+to the white background, so its cost grows with the number of nonzero
+pooled cells, not with the size of the grid.
 """
 
 from __future__ import annotations
@@ -32,17 +35,11 @@ def _downsample_line(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return t, y
     nbuckets = _MAX_LINE_POINTS // 2
     edges = np.linspace(0, n, nbuckets + 1).astype(int)
-    ti, yi = [], []
+    idx: list[int] = []
     for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
         seg = y[a:b]
-        lo = a + int(np.argmin(seg))
-        hi = a + int(np.argmax(seg))
-        for i in sorted((lo, hi)):
-            ti.append(t[i])
-            yi.append(y[i])
-    return np.asarray(ti), np.asarray(yi)
+        idx += sorted((a + int(np.argmin(seg)), a + int(np.argmax(seg))))
+    return t[idx], y[idx]
 
 
 def _panel_polyline(
@@ -100,13 +97,14 @@ def render_decomposition_svg(source: Signal, d: Decomposition) -> str:
 _STOPS = np.array([[255, 255, 255], [245, 166, 35], [122, 11, 11]], dtype=float)
 
 
-def _color(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
-    pos = v * (len(_STOPS) - 1)
-    i = min(int(pos), len(_STOPS) - 2)
-    frac = pos - i
-    rgb = (1 - frac) * _STOPS[i] + frac * _STOPS[i + 1]
-    return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
+def _colors(v: np.ndarray) -> list[str]:
+    """The #rrggbb colour of each normalized amplitude in ``v``, all in (0, 1]."""
+    pos = np.minimum(v, 1.0) * (len(_STOPS) - 1)
+    i = np.minimum(pos.astype(np.int64), len(_STOPS) - 2)
+    frac = (pos - i)[:, None]
+    rgb = np.round((1 - frac) * _STOPS[i] + frac * _STOPS[i + 1]).astype(np.int64)
+    codes = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+    return [f"#{c:06x}" for c in codes.tolist()]
 
 
 def _pool_columns(a: np.ndarray, max_cols: int) -> np.ndarray:
@@ -119,7 +117,11 @@ def _pool_columns(a: np.ndarray, max_cols: int) -> np.ndarray:
 
 
 def render_spectrum_svg(grid: TimeFrequencyGrid) -> str:
-    """Amplitude heat map: time on the horizontal axis, frequency vertical."""
+    """Amplitude heat map: time on the horizontal axis, frequency vertical.
+
+    Rows are max-pooled to at most 256 time columns; nonzero cells are drawn
+    in row-major order.
+    """
     pooled = _pool_columns(grid.amplitude, _MAX_HEAT_COLS)
     ncols, nbins = pooled.shape
     w = _WIDTH - _LEFT - _RIGHT
@@ -133,17 +135,15 @@ def render_spectrum_svg(grid: TimeFrequencyGrid) -> str:
         f'width="{_WIDTH}" height="{h + 70}" viewBox="0 0 {_WIDTH} {h + 70}">',
         f'<rect width="{_WIDTH}" height="{h + 70}" fill="#ffffff"/>',
     ]
-    for i in range(ncols):
-        x = _LEFT + i * cell_w
-        for j in range(nbins):
-            v = pooled[i, j] / peak
-            if v <= 0:
-                continue  # background already white
-            y = _TOP + h - (j + 1) * cell_h
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cell_w + 0.5)}" '
-                f'height="{_fmt(cell_h + 0.5)}" fill="{_color(v)}"/>'
-            )
+    v = pooled / peak
+    cols, bins = np.nonzero(v > 0)  # zero cells stay the white background
+    xs = list(map(_fmt, (_LEFT + np.arange(ncols) * cell_w).tolist()))
+    ys = list(map(_fmt, (_TOP + h - np.arange(1, nbins + 1) * cell_h).tolist()))
+    size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
+    parts.extend(
+        f'<rect x="{xs[i]}" y="{ys[j]}" {size} fill="{fill}"/>'
+        for i, j, fill in zip(cols.tolist(), bins.tolist(), _colors(v[cols, bins]))
+    )
     t0, t1 = float(grid.times[0]), float(grid.times[-1])
     f0, f1 = float(grid.freqs[0]), float(grid.freqs[-1])
     parts.extend(

@@ -37,7 +37,8 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 # "eemd" and "eemd-1t" differ only in --threads, so every file of theirs but
 # meta.txt (its "threads =" line) must hash the same. "emd" (reflection),
 # "emd-constant" and "emd-deriv" (periodic) cover the three envelope
-# boundary modes.
+# boundary modes. "if-bins1" draws a one-bin heat map; "emd-tiny" runs on
+# the 200 samples of "in_tiny.csv", so its heat map is drawn without pooling.
 RUNS = [
     ("emd", ["decompose", "--method", "emd", "--input", "in_short.csv", "--plot"]),
     ("emd-constant", ["decompose", "--method", "emd", "--input", "in_short.csv",
@@ -66,6 +67,9 @@ RUNS = [
     ("if-settings", ["decompose", "--method", "if", "--input", "in_short.csv",
                      "--settings", "settings.cfg", "--plot"]),
     ("if-zero", ["decompose", "--method", "if", "--input", "ramp.csv", "--plot"]),
+    ("if-bins1", ["decompose", "--method", "if", "--input", "in_short.csv",
+                  "--n-imfs", "3", "--spectrum-bins", "1", "--plot"]),
+    ("emd-tiny", ["decompose", "--method", "emd", "--input", "in_tiny.csv", "--plot"]),
     ("spectrum-energy", ["decompose", "--method", "if", "--input", "in_short.csv",
                          "--xi", "3", "--n-imfs", "3"]),
 ]
@@ -90,6 +94,10 @@ def _write_inputs() -> None:
         x += 0.1 * rng.standard_normal(n)
         rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, x))
         Path(name).write_text("t,v\n" + rows)
+    t = np.arange(200) / 64
+    x = np.sin(2 * np.pi * 2 * t) + 0.5 * np.sin(2 * np.pi * 11 * t)
+    rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, x))
+    Path("in_tiny.csv").write_text("t,v\n" + rows)
     Path("ramp.csv").write_text("".join(f"{0.5 * i!r}\n" for i in range(40)))
     Path("settings.cfg").write_text(SETTINGS)
 
@@ -124,7 +132,7 @@ def main() -> int:
         Path("texts").mkdir()
         for name, argv in TEXTS:
             (Path("texts") / name).write_text(_capture(cli_main, argv))
-        inputs = {"in_long.csv", "in_short.csv", "ramp.csv", "settings.cfg"}
+        inputs = {"in_long.csv", "in_short.csv", "in_tiny.csv", "ramp.csv", "settings.cfg"}
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             if path.as_posix() not in inputs:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
