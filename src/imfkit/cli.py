@@ -183,8 +183,9 @@ def _write_spectrum_csv(
 
     ``time_text`` is ``grid.times``, already formatted.
 
-    Each row holds at most one nonzero cell per IMF, so only the nonzero
-    cells are formatted and the zero runs between them are spliced in.
+    Only the grid's cells are formatted, a block of rows at a time, and the
+    zero runs between them are spliced in. Each line is written as soon as
+    it is built, so the text held in memory is one line, however wide.
     """
     centers = 0.5 * (grid.freqs[:-1] + grid.freqs[1:])
     nbins = centers.size
@@ -192,20 +193,20 @@ def _write_spectrum_csv(
     with path.open("w") as fh:
         fh.write(",".join(["time", *_format_column(centers)]) + "\n")
         for lo in range(0, grid.times.size, _ROW_BLOCK):
-            block = grid.amplitude[lo : lo + _ROW_BLOCK]
-            lines = [[t] for t in time_text[lo : lo + _ROW_BLOCK]]
-            last = [-1] * len(lines)  # column of each row's latest nonzero cell
-            rows, cols = np.nonzero(block)
-            values = _format_column(block[rows, cols])
-            for r, c, text in zip(rows.tolist(), cols.tolist(), values):
-                lines[r].append(zeros[: 4 * (c - last[r] - 1)] + "," + text)
-                last[r] = c
-            fh.write(
-                "".join(
-                    "".join(line) + zeros[: 4 * (nbins - 1 - c)] + "\n"
-                    for line, c in zip(lines, last)
-                )
-            )
+            hi = min(lo + _ROW_BLOCK, grid.times.size)
+            a, b = np.searchsorted(grid.rows, (lo, hi))
+            # The cells of row lo + i are ends[i] .. ends[i + 1] - 1 of the block's.
+            ends = np.searchsorted(grid.rows[a:b], np.arange(lo, hi + 1)).tolist()
+            cols = grid.bins[a:b].tolist()
+            texts = _format_column(grid.values[a:b])
+            for i, t in enumerate(time_text[lo:hi]):
+                parts = [t]
+                last = -1  # column of the row's latest cell
+                for k in range(ends[i], ends[i + 1]):
+                    parts.append(zeros[: 4 * (cols[k] - last - 1)] + "," + texts[k])
+                    last = cols[k]
+                parts.append(zeros[: 4 * (nbins - 1 - last)] + "\n")
+                fh.write("".join(parts))
 
 
 def write_imfs_csv(
@@ -481,12 +482,8 @@ def _write_traces_and_spectrum(
             d, nbins=nbins, estimator=estimator, weight=weight, traces=traces
         )
     else:
-        times = d.residual.times
-        grid = TimeFrequencyGrid(
-            times=times,
-            freqs=specfreq._bin_edges(d.residual.dt, nbins),
-            amplitude=np.zeros((times.size, nbins)),
-        )
+        edges = specfreq._bin_edges(d.residual.dt, nbins)
+        grid = TimeFrequencyGrid.from_cells(d.residual.times, edges, [], [], [])
     _write_spectrum_csv(out / "spectrum.csv", grid, time_text)
     if plot:
         (out / "spectrum.svg").write_text(render_spectrum_svg(grid))

@@ -99,15 +99,21 @@ def _in_member_order(task, ne: int, workers: int):
         yield from map(task, range(ne))
         return
     # Imported here so that ``import imfkit`` loads no process machinery.
-    # Fork, not spawn or forkserver: forked workers inherit numpy and
-    # scipy.linalg already imported, where spawned ones would import them
-    # again, ~0.6 s per worker on a 2-core x86 host.
+    # Fork, not spawn or forkserver: forked workers inherit numpy already
+    # imported, where spawned ones would import it again. The spline's
+    # LAPACK solver, which the package imports on first use, is loaded here
+    # before the fork for the same reason: otherwise each worker would
+    # import scipy.linalg itself, ~0.35 s each on a 2-core x86 host.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    import scipy.linalg.lapack  # noqa: F401
+
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        yield from pool.map(task, range(ne), chunksize=max(1, ne // (4 * workers)))
+        # One member per task (the default chunksize), so the caller
+        # unpickles and holds one member's arrays at a time.
+        yield from pool.map(task, range(ne))
 
 
 def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomposition:

@@ -24,6 +24,7 @@ from .core import (
     TooFewExtrema,
     _extrema_indices,
     _natural_spline,
+    _sum_squares,
     _unit_scaled,
 )
 
@@ -134,8 +135,8 @@ def _extract_imf_arr(
             # Sifting flattened the iterate; nothing left to subtract.
             reason = StopReason.DELTA_REACHED
             break
-        denom = float(np.dot(cur, cur))
-        num = float(np.dot(mean, mean))
+        denom = _sum_squares(cur)
+        num = _sum_squares(mean)
         cur -= mean
         iterations = it
         if denom == 0.0 or num < cfg.sd_threshold * denom:

@@ -12,6 +12,7 @@ and frozen for the whole extraction of one component.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -28,6 +29,7 @@ from .core import (
     StopReason,
     TooFewExtrema,
     _extrema_indices,
+    _sum_squares,
     _unit_scaled,
 )
 
@@ -206,7 +208,7 @@ def _if_extract_arr(
     cfg: IFSettings,
 ) -> tuple[np.ndarray, int, StopReason]:
     cur, exp = _unit_scaled(x)  # keeps the stopping ratio scale-invariant
-    if float(np.linalg.norm(cur)) == 0.0:
+    if _sum_squares(cur) == 0.0:
         # 0/0 ratio convention: an identically zero signal is converged.
         return cur, 0, StopReason.DELTA_REACHED
     average = _mask_operator(mask, cur.size, cfg.extension)
@@ -214,8 +216,8 @@ def _if_extract_arr(
     reason = StopReason.MAX_INNER_REACHED
     for it in range(1, cfg.max_inner + 1):
         avg = average(cur)
-        num = float(np.linalg.norm(avg))
-        den = float(np.linalg.norm(cur))
+        num = math.sqrt(_sum_squares(avg))
+        den = math.sqrt(_sum_squares(cur))
         cur -= avg
         iterations = it
         if den == 0.0 or num < cfg.delta * den:

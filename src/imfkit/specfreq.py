@@ -3,7 +3,8 @@
 Two estimators are provided: the analytic-signal route (Hilbert transform,
 phase derivative) and a purely local derivative-based route using the
 second difference of the signal. Per-component traces are deposited into a
-time-frequency amplitude grid.
+time-frequency amplitude grid, which keeps only its nonzero cells: at most
+one per component and time sample, however many frequency bins it has.
 """
 
 from __future__ import annotations
@@ -57,24 +58,81 @@ class IFTrace:
         object.__setattr__(self, "valid_mask", mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TimeFrequencyGrid:
-    """Time x frequency amplitude matrix with its axes.
+    """Time x frequency amplitude grid with its axes, stored as its cells.
 
     ``freqs`` holds the nbins+1 ascending bin edges in cycles per time
-    unit; ``amplitude[i, j]`` is the mass deposited at time ``times[i]``
-    into frequency bin j.
+    unit. The mass deposited at time ``times[rows[k]]`` into frequency bin
+    ``bins[k]`` is ``values[k]``; every other cell of the grid is zero. The
+    cells are distinct and in row-major order, so a grid costs memory in
+    proportion to its cells (at most one per IMF and time sample), not to
+    len(times) x nbins.
+
+    ``TimeFrequencyGrid(times, freqs, amplitude)`` takes a dense
+    (len(times), nbins) matrix and keeps its nonzero entries;
+    :meth:`from_cells` takes the cells themselves.
     """
 
     times: np.ndarray
     freqs: np.ndarray
-    amplitude: np.ndarray
+    rows: np.ndarray
+    bins: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        if self.amplitude.shape != (self.times.size, self.freqs.size - 1):
+    def __init__(self, times: np.ndarray, freqs: np.ndarray, amplitude: np.ndarray):
+        if amplitude.shape != (times.size, freqs.size - 1):
             raise ValueError("amplitude must be (len(times), len(freqs)-1)")
-        if np.any(self.amplitude < 0):
+        rows, bins = np.nonzero(amplitude)
+        self._set_cells(times, freqs, rows, bins, amplitude[rows, bins])
+
+    @classmethod
+    def from_cells(
+        cls,
+        times: np.ndarray,
+        freqs: np.ndarray,
+        rows: np.ndarray,
+        bins: np.ndarray,
+        values: np.ndarray,
+    ) -> "TimeFrequencyGrid":
+        """A grid from its cells: distinct (row, bin) pairs in row-major order."""
+        grid = cls.__new__(cls)
+        grid._set_cells(times, freqs, rows, bins, values)
+        return grid
+
+    def _set_cells(self, times, freqs, rows, bins, values) -> None:
+        rows = np.asarray(rows, dtype=np.intp)
+        bins = np.asarray(bins, dtype=np.intp)
+        values = np.asarray(values, dtype=np.float64)
+        if not (rows.ndim == 1 and rows.shape == bins.shape == values.shape):
+            raise ValueError("rows, bins and values must be 1-D of equal length")
+        nbins = freqs.size - 1
+        key = rows * nbins + bins  # strictly increasing: distinct, row-major
+        if rows.size and not (
+            0 <= rows[0] and rows[-1] < times.size
+            and 0 <= bins.min() and bins.max() < nbins
+            and np.all(key[1:] > key[:-1])
+        ):
+            raise ValueError("cells must be distinct, in range and in row-major order")
+        if np.any(values < 0):
             raise ValueError("grid amplitudes must be nonnegative")
+        for name, value in (
+            ("times", times), ("freqs", freqs), ("rows", rows), ("bins", bins),
+            ("values", values),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def amplitude(self) -> np.ndarray:
+        """The dense (len(times), nbins) matrix, built anew on every access.
+
+        It takes len(times) x nbins x 8 bytes (1 GiB at 2**20 samples and
+        128 bins); code that can work from ``rows``, ``bins`` and
+        ``values`` should.
+        """
+        a = np.zeros((self.times.size, self.freqs.size - 1))
+        a[self.rows, self.bins] = self.values
+        return a
 
 
 def _analytic_arr(x: np.ndarray) -> np.ndarray:
@@ -302,7 +360,9 @@ def hilbert_spectrum(
     amplitude with ``weight="energy"``) is deposited into the frequency
     bin containing the instantaneous frequency. Bin edges span
     [0, 1/(2*dt)] uniformly; out-of-range frequencies are clipped into the
-    end bins so the deposited mass is conserved.
+    end bins so the deposited mass is conserved. The grid holds only the
+    cells that received mass, so it takes memory in proportion to IMFs x
+    samples, whatever ``nbins`` is.
 
     ``traces``, when given, holds one already computed trace per IMF, in
     IMF order (for example the ``estimator``'s output); the estimator is
@@ -324,8 +384,7 @@ def hilbert_spectrum(
         raise ValueError("traces must hold one trace per IMF, each of the IMF length")
     edges = _bin_edges(ref.dt, nbins)
     fmax = edges[-1]
-    grid = np.zeros((n, nbins))
-    rows = np.arange(n)
+    keys, masses = [], []  # per IMF: row * nbins + bin and mass of each valid sample
     for trace in traces:
         mass = trace.amplitude.samples
         if weight == "energy":
@@ -333,5 +392,12 @@ def hilbert_spectrum(
         bins = np.floor(trace.frequency.samples / fmax * nbins).astype(np.int64)
         np.clip(bins, 0, nbins - 1, out=bins)
         v = trace.valid_mask
-        np.add.at(grid, (rows[v], bins[v]), mass[v])
-    return TimeFrequencyGrid(times=ref.times, freqs=edges, amplitude=grid)
+        keys.append(np.flatnonzero(v) * nbins + bins[v])
+        masses.append(mass[v])
+    # A cell hit by several IMFs sums their masses in IMF order from 0.0,
+    # as np.add.at into a zeroed dense grid, one IMF after another, would.
+    cells, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.zeros(cells.size)
+    np.add.at(values, inverse, np.concatenate(masses))
+    rows, bins = np.divmod(cells, nbins)
+    return TimeFrequencyGrid.from_cells(ref.times, edges, rows, bins, values)

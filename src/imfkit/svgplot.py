@@ -107,23 +107,20 @@ def _colors(v: np.ndarray) -> list[str]:
     return [f"#{c:06x}" for c in codes.tolist()]
 
 
-def _pool_columns(a: np.ndarray, max_cols: int) -> np.ndarray:
-    """Max-pool rows of a (time, bins) matrix down to at most max_cols rows."""
-    n = a.shape[0]
-    if n <= max_cols:
-        return a
-    edges = np.linspace(0, n, max_cols + 1).astype(int)
-    return np.stack([a[s:e].max(axis=0) for s, e in zip(edges[:-1], edges[1:])])
-
-
 def render_spectrum_svg(grid: TimeFrequencyGrid) -> str:
     """Amplitude heat map: time on the horizontal axis, frequency vertical.
 
     Rows are max-pooled to at most 256 time columns; nonzero cells are drawn
     in row-major order.
     """
-    pooled = _pool_columns(grid.amplitude, _MAX_HEAT_COLS)
-    ncols, nbins = pooled.shape
+    n = grid.times.size
+    ncols, nbins = min(n, _MAX_HEAT_COLS), grid.freqs.size - 1
+    # Column i pools rows edges[i] .. edges[i + 1] - 1 (each row alone when
+    # n <= ncols); only the grid's cells can raise a column above zero.
+    edges = np.linspace(0, n, ncols + 1).astype(int)
+    pooled = np.zeros((ncols, nbins))
+    col = np.searchsorted(edges, grid.rows, side="right") - 1
+    np.maximum.at(pooled, (col, grid.bins), grid.values)
     w = _WIDTH - _LEFT - _RIGHT
     h = 420
     peak = float(pooled.max()) or 1.0

@@ -1,0 +1,86 @@
+"""What a run loads and holds: no scipy unless a spline is fitted, no BLAS
+threads in the stopping ratios, and EEMD members received one at a time.
+"""
+
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+
+from imfkit import EEMDSettings, Signal, eemd
+
+
+def run_python(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_and_if_run_load_no_scipy(tmp_path):
+    t = np.arange(600) / 100.0
+    x = np.sin(2 * np.pi * 1.5 * t) + 0.5 * np.sin(2 * np.pi * 17 * t)
+    (tmp_path / "in.csv").write_text("".join(f"{float(v)!r}\n" for v in x))
+    argv = ["decompose", "--method", "if", "--input", str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "run"), "--n-imfs", "3", "--estimator", "hilbert",
+            "--plot"]
+    code = (
+        "import sys, imfkit\n"
+        f"print({SCIPY_MODULES})\n"
+        "from imfkit.cli import main\n"
+        f"print(main({argv!r}), {SCIPY_MODULES})\n"
+    )
+    assert run_python(code).splitlines() == ["[]", "0 []"]
+    assert (tmp_path / "run" / "spectrum.svg").exists()
+
+
+def test_eemd_loads_the_spline_solver_before_forking():
+    code = (
+        "import sys, numpy as np\n"
+        "from imfkit import EEMDSettings, Signal, eemd\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "x = np.sin(np.arange(256) / 5.0) + np.cos(np.arange(256) / 17.0)\n"
+        "eemd(Signal(x), EEMDSettings(ne=4, seed=1, num_imfs=3), threads=2)\n"
+        "print(before, 'scipy.linalg' in sys.modules)\n"
+    )
+    assert run_python(code) == "False True"
+
+
+def test_eemd_caller_holds_few_members_at_a_time():
+    n, num_imfs, ne = 8192, 6, 40
+    t = np.arange(n) / n
+    s = Signal(np.sin(2 * np.pi * (4 + 60 * t) * 8 * t) + 0.3 * np.cos(2 * np.pi * 3 * t))
+    cfg = EEMDSettings(ne=ne, seed=4, num_imfs=num_imfs)
+    # Load the lazily imported modules before tracing.
+    eemd(s.with_samples(s.samples[:256]), EEMDSettings(ne=2, num_imfs=2), threads=2)
+    member_bytes = (num_imfs + 1) * n * 8
+    tracemalloc.start()
+    try:
+        eemd(s, cfg, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Results received in chunks of 5 members peaked at ~16 member sizes.
+    assert peak < 8 * member_bytes, f"peak {peak / member_bytes:.1f} member sizes"
+
+
+def test_if_stopping_ratio_runs_no_blas_threads():
+    # np.linalg.norm on 65536 samples hands ddot to an OpenBLAS worker
+    # thread that spins after it, which made CPU time about twice wall time.
+    code = (
+        "import resource, time, numpy as np\n"
+        "from imfkit import IFSettings, Signal, iterative_filtering\n"
+        "s = Signal(np.random.default_rng(5).standard_normal(65536))\n"
+        "cfg = IFSettings(n_imfs=1, xi=3, max_inner=100)\n"
+        "def cpu():\n"
+        "    r = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "    return r.ru_utime + r.ru_stime\n"
+        "c0, w0 = cpu(), time.perf_counter()\n"
+        "iterative_filtering(s, cfg)\n"
+        "print(cpu() - c0, time.perf_counter() - w0)\n"
+    )
+    cpu_s, wall_s = map(float, run_python(code).split())
+    assert cpu_s <= 1.5 * wall_s, f"cpu {cpu_s:.3f} s over wall {wall_s:.3f} s"

@@ -39,6 +39,8 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 # "emd-constant" and "emd-deriv" (periodic) cover the three envelope
 # boundary modes. "if-bins1" draws a one-bin heat map; "emd-tiny" runs on
 # the 200 samples of "in_tiny.csv", so its heat map is drawn without pooling.
+# "if-wide" has 3000 bins, so spectrum.csv has long zero runs and the pooled
+# heat map many bins.
 RUNS = [
     ("emd", ["decompose", "--method", "emd", "--input", "in_short.csv", "--plot"]),
     ("emd-constant", ["decompose", "--method", "emd", "--input", "in_short.csv",
@@ -70,6 +72,8 @@ RUNS = [
     ("if-bins1", ["decompose", "--method", "if", "--input", "in_short.csv",
                   "--n-imfs", "3", "--spectrum-bins", "1", "--plot"]),
     ("emd-tiny", ["decompose", "--method", "emd", "--input", "in_tiny.csv", "--plot"]),
+    ("if-wide", ["decompose", "--method", "if", "--input", "in_short.csv",
+                 "--n-imfs", "3", "--spectrum-bins", "3000", "--plot"]),
     ("spectrum-energy", ["decompose", "--method", "if", "--input", "in_short.csv",
                          "--xi", "3", "--n-imfs", "3"]),
 ]
