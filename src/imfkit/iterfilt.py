@@ -6,6 +6,16 @@ window with itself (a triangular mask). Self-convolution makes the mask's
 DFT nonnegative, so one inner iteration scales every circular-spectrum
 mode by a factor in [0, 1] and the iteration is non-expansive mode-wise.
 
+Because the mask acts on each Fourier mode separately, k inner iterations
+under periodic extension are irfft((1 - g)^k X), with g the mask's gain
+(:func:`mask_gain`), and both norms of the stopping ratio follow from
+Parseval. Reflection is periodic extension of the mirrored signal, so it
+takes the same closed form on a grid of 2(n - 1) points. The inner loop
+therefore runs without a transform per iteration (Cicone & Zhou,
+"Numerical analysis for iterative filtering with new efficient
+implementations based on FFT", Numer. Math. 2021). Constant extension has
+no such form and keeps the loop in the time domain.
+
 The mask half-length is derived from the spacing of the signal's extrema
 and frozen for the whole extraction of one component.
 """
@@ -172,9 +182,6 @@ def mask_gain(mask: MaskFunction, n: int) -> np.ndarray:
     return np.fft.rfft(wpad).real
 
 
-_FFT_MIN_LENGTH = 1024
-
-
 def _mask_operator(
     mask: MaskFunction, n: int, extension: BoundaryExtension
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -186,8 +193,8 @@ def _mask_operator(
     l = mask.half_length
     if l >= n:
         raise MaskTooLong(f"mask half-length {l} must be < signal length {n}")
-    if extension is BoundaryExtension.PERIODIC and n >= _FFT_MIN_LENGTH:
-        gain = np.fft.rfft(_circular_embed(mask.weights, l, n))
+    if extension is BoundaryExtension.PERIODIC:
+        gain = mask_gain(mask, n)
         return lambda x: np.fft.irfft(np.fft.rfft(x) * gain, n)
     weights, mode = mask.weights, _NP_PAD_MODE[extension]
     return lambda x: np.convolve(np.pad(x, l, mode=mode), weights, mode="valid")
@@ -196,10 +203,97 @@ def _mask_operator(
 def moving_average(s: Signal, w: MaskFunction, ext: BoundaryExtension) -> Signal:
     """Convolve the boundary-extended signal with the mask weights.
 
-    Uses an FFT circular convolution for periodic extension on long
-    signals, a direct sum otherwise; the two paths agree to 1e-10.
+    Periodic extension multiplies the signal's rfft by :func:`mask_gain`
+    (a circular convolution); reflection and constant extension pad the
+    signal and take the direct sum over the mask.
     """
     return s.with_samples(_mask_operator(w, len(s), ext)(s.samples))
+
+
+def _if_extract_loop(
+    cur: np.ndarray,
+    average: Callable[[np.ndarray], np.ndarray],
+    delta: float,
+    steps: int,
+) -> tuple[np.ndarray, int, StopReason]:
+    """Up to ``steps`` iterations in the time domain: cur <- cur - M(cur)."""
+    iterations = 0
+    reason = StopReason.MAX_INNER_REACHED
+    for it in range(1, steps + 1):
+        avg = average(cur)
+        num = math.sqrt(_sum_squares(avg))
+        den = math.sqrt(_sum_squares(cur))
+        cur -= avg
+        iterations = it
+        if den == 0.0 or num < delta * den:
+            reason = StopReason.DELTA_REACHED
+            break
+    return cur, iterations, reason
+
+
+def _if_extract_spectral(
+    cur: np.ndarray,
+    mask: MaskFunction,
+    extension: BoundaryExtension,
+    average: Callable[[np.ndarray], np.ndarray],
+    delta: float,
+    steps: int,
+) -> tuple[np.ndarray, int, StopReason]:
+    """Up to ``steps`` iterations in closed form, for periodic and reflection.
+
+    On a periodic grid of N points one iteration multiplies rfft mode j by
+    h_j = 1 - g_j, so by Parseval both squared stopping norms after k
+    iterations are weighted sums of |X_j|^2 h_j^(2k). Reflection is the
+    even extension of period N = 2(n-1); its squared norms over the n
+    original samples are (squared norm over N + first^2 + last^2) / 2, and
+    the two end samples are sums over the modes too. The stop index comes
+    from a scan over vectors of N//2+1 entries, and the result from one
+    inverse transform and one step of the moving average itself.
+    """
+    n = cur.size
+    reflect = extension is BoundaryExtension.REFLECTION
+    ext = np.concatenate([cur, cur[-2:0:-1]]) if reflect else cur
+    period = ext.size
+    spec = np.fft.rfft(ext)
+    g = mask_gain(mask, period)
+    h = 1.0 - g
+    # One-sided rfft weights over N: sum(ext**2) == sum(weight * |spec|**2).
+    weight = np.full(g.size, 2.0 / period)
+    weight[0] = 1.0 / period
+    if period % 2 == 0:
+        weight[-1] = 1.0 / period
+    # Mode energies of the current iterate, and its decay h^(iterations-1).
+    energy = weight * (spec.real * spec.real + spec.imag * spec.imag)
+    decay = np.ones_like(g)
+    g2, h2 = g * g, h * h
+    if reflect:
+        # ext[0] and ext[n-1] = ext[period/2] as sums over the modes.
+        first = weight * spec.real
+        last = first.copy()
+        last[1::2] *= -1.0
+        ends = np.stack([first, last, first * g, last * g])
+    iterations = 0
+    reason = StopReason.MAX_INNER_REACHED
+    while True:
+        iterations += 1
+        den2 = float(energy.sum())
+        num2 = float(np.einsum("i,i->", energy, g2))
+        if reflect:
+            first0, last0, first1, last1 = np.einsum("ij,j->i", ends, decay)
+            den2 = (den2 + first0 * first0 + last0 * last0) / 2.0
+            num2 = (num2 + first1 * first1 + last1 * last1) / 2.0
+        num = math.sqrt(num2)
+        den = math.sqrt(den2)
+        if den == 0.0 or num < delta * den:
+            reason = StopReason.DELTA_REACHED
+            break
+        if iterations == steps:
+            break
+        energy *= h2
+        decay *= h
+    if iterations > 1:
+        cur = np.fft.irfft(spec * decay, period)[:n]
+    return cur - average(cur), iterations, reason
 
 
 def _if_extract_arr(
@@ -212,17 +306,18 @@ def _if_extract_arr(
         # 0/0 ratio convention: an identically zero signal is converged.
         return cur, 0, StopReason.DELTA_REACHED
     average = _mask_operator(mask, cur.size, cfg.extension)
-    iterations = 0
-    reason = StopReason.MAX_INNER_REACHED
-    for it in range(1, cfg.max_inner + 1):
-        avg = average(cur)
-        num = math.sqrt(_sum_squares(avg))
-        den = math.sqrt(_sum_squares(cur))
-        cur -= avg
-        iterations = it
-        if den == 0.0 or num < cfg.delta * den:
-            reason = StopReason.DELTA_REACHED
-            break
+    # Edge padding is not a periodic extension, so constant extension has
+    # no mode-wise form and iterates in the time domain throughout. The
+    # others take their first iteration there too: a signal the average
+    # reproduces exactly (a constant) then leaves exact zeros, where the
+    # rounding of its transform would leave noise for the scan to follow.
+    steps = cfg.max_inner if cfg.extension is BoundaryExtension.CONSTANT else 1
+    cur, iterations, reason = _if_extract_loop(cur, average, cfg.delta, steps)
+    if reason is StopReason.MAX_INNER_REACHED and iterations < cfg.max_inner:
+        cur, more, reason = _if_extract_spectral(
+            cur, mask, cfg.extension, average, cfg.delta, cfg.max_inner - iterations
+        )
+        iterations += more
     return np.ldexp(cur, exp), iterations, reason
 
 
@@ -237,6 +332,14 @@ def if_extract(
     Repeats ``s <- s - M(s)`` with the same mask until the ratio
     norm2(M(s)) / norm2(s) drops below ``cfg.delta`` or ``cfg.max_inner``
     subtractions were performed.
+
+    Under periodic and reflection extension the repetition is evaluated in
+    closed form: k subtractions multiply rfft mode j of the (mirrored)
+    signal by (1 - g_j)^k, so the stop index is found from the mode
+    energies and the component costs a fixed number of transforms,
+    whatever ``cfg.max_inner`` is. The first and the last subtraction go
+    through :func:`moving_average` itself. Constant extension has no
+    mode-wise form and subtracts in the time domain.
 
     Returns
     -------

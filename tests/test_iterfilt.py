@@ -244,7 +244,13 @@ class TestIfExtract:
             expected = expected.with_samples(expected.samples - avg.samples)
         imf, iterations, _ = if_extract(Signal(x), 9, cfg)
         assert iterations == 6
-        assert np.array_equal(imf.samples, expected.samples)
+        if extension is BoundaryExtension.CONSTANT:
+            assert np.array_equal(imf.samples, expected.samples)
+        else:
+            # Periodic and reflection run in closed form on the mask
+            # spectrum, which rounds differently from six round trips.
+            gap = np.abs(imf.samples - expected.samples).max()
+            assert gap <= 1e-13 * np.abs(x).max()
 
     def test_zero_signal_returns_immediately(self):
         imf, iterations, reason = if_extract(Signal(np.zeros(64)), 5, IFSettings())

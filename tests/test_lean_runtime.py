@@ -70,6 +70,8 @@ def test_eemd_caller_holds_few_members_at_a_time():
 def test_if_stopping_ratio_runs_no_blas_threads():
     # np.linalg.norm on 65536 samples hands ddot to an OpenBLAS worker
     # thread that spins after it, which made CPU time about twice wall time.
+    # numpy's own worker also spins for ~0.1 s after import, so the IF work
+    # is repeated for a second of wall time to keep that spin a small share.
     code = (
         "import resource, time, numpy as np\n"
         "from imfkit import IFSettings, Signal, iterative_filtering\n"
@@ -79,7 +81,8 @@ def test_if_stopping_ratio_runs_no_blas_threads():
         "    r = resource.getrusage(resource.RUSAGE_SELF)\n"
         "    return r.ru_utime + r.ru_stime\n"
         "c0, w0 = cpu(), time.perf_counter()\n"
-        "iterative_filtering(s, cfg)\n"
+        "while time.perf_counter() - w0 < 1.0:\n"
+        "    iterative_filtering(s, cfg)\n"
         "print(cpu() - c0, time.perf_counter() - w0)\n"
     )
     cpu_s, wall_s = map(float, run_python(code).split())

@@ -32,8 +32,9 @@ SETTINGS = (
 EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
         "--ne", "6", "--seed", "3", "--plot"]
 
-# (output directory, CLI arguments); "in_long.csv" has 2048 samples and
-# "in_short.csv" 600, on either side of IF's direct/FFT convolution switch.
+# (output directory, CLI arguments); "in_long.csv" has 2048 samples, a power
+# of two, and "in_short.csv" 600, which is not, so IF's transforms run on
+# both kinds of length.
 # "eemd" and "eemd-1t" differ only in --threads, so every file of theirs but
 # meta.txt (its "threads =" line) must hash the same. "emd" (reflection),
 # "emd-constant" and "emd-deriv" (periodic) cover the three envelope
