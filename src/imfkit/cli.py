@@ -1,4 +1,4 @@
-"""Command-line front end: CSV ingestion, decomposition runs, spectra.
+"""Command-line front end: options, argument parsing and runs.
 
 Subcommands::
 
@@ -8,241 +8,33 @@ Subcommands::
 
 ``decompose`` writes imfs.csv, meta.txt, one iftrace_k.csv per IMF,
 spectrum.csv and (with --plot) decomposition.svg / spectrum.svg into the
-output directory. Numbers are serialized as shortest round-trip decimals,
+output directory. A run computes the decomposition, the IF traces and the
+spectrum grid, then hands one job per file to an
+:class:`imfkit.csvio.EmissionPlan`, which writes them on every CPU the
+process may use. Numbers are serialized as shortest round-trip decimals,
 so rerunning an identical configuration reproduces the files byte for
-byte.
+byte, whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    BoundaryExtension,
-    Decomposition,
-    DecompositionError,
-    ImfMeta,
-    Signal,
-    StopReason,
-    _extrema_indices,
-)
+from .core import BoundaryExtension, Decomposition, DecompositionError, _extrema_indices
+from .csvio import EmissionPlan, IngestError, ParseError, ingest_csv, read_imfs_csv
+# Part of this module's interface too:
+from .csvio import NonUniformSampling, TooShort, read_meta, write_imfs_csv  # noqa: F401
 from .eemd import EEMDSettings, eemd
 from .emd import EMDSettings, emd
 from .iterfilt import IFSettings, MaskLengthRule, iterative_filtering
 from . import specfreq
 from .specfreq import TimeFrequencyGrid, hilbert_spectrum
 from .svgplot import render_decomposition_svg, render_spectrum_svg
-
-
-class IngestError(Exception):
-    """Base class for input-file problems."""
-
-
-class ParseError(IngestError):
-    """A cell could not be parsed; the message names the offending line."""
-
-
-class TooShort(IngestError):
-    """Fewer than two data rows."""
-
-
-class NonUniformSampling(IngestError):
-    """Time column is not a uniform grid; the message names the bad row."""
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion / emission
-
-
-def _read_rows(path: str | Path) -> tuple[list[str] | None, list[list[float]], list[int]]:
-    """Rows of a CSV file as floats, plus the auto-detected header.
-
-    Returns (header or None, rows, 1-based file line number per row).
-    """
-    lines = Path(path).read_text().splitlines()
-    header: list[str] | None = None
-    rows: list[list[float]] = []
-    linenos: list[int] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        cells = [c.strip() for c in stripped.split(",")]
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            if header is None and not rows:
-                header = cells  # first row is non-numeric: a header
-                continue
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if rows and len(values) != len(rows[0]):
-            raise ParseError(
-                f"{path}: line {lineno}: expected {len(rows[0])} columns, "
-                f"got {len(values)}"
-            )
-        rows.append(values)
-        linenos.append(lineno)
-    if len(rows) < 2:
-        raise TooShort(f"{path}: need at least 2 data rows, found {len(rows)}")
-    return header, rows, linenos
-
-
-def _resolve_column(
-    selector: str | None, header: list[str] | None, ncols: int, default: int
-) -> int:
-    if selector is None:
-        return default
-    try:
-        idx = int(selector)
-    except ValueError:
-        if header is None or selector not in header:
-            raise ParseError(f"unknown column {selector!r}") from None
-        idx = header.index(selector)
-    if not (0 <= idx < ncols):
-        raise ParseError(f"column index {idx} out of range (file has {ncols})")
-    return idx
-
-
-def ingest_csv(
-    path: str | Path,
-    value_col: str | None = None,
-    time_col: str | None = None,
-) -> Signal:
-    """Load a uniformly sampled signal from a CSV file.
-
-    One column: values with dt = 1. Two or more: the first column is the
-    time axis and the second the values, unless overridden by index or
-    header name; pass ``time_col="none"`` to ignore the time column. The
-    time grid must be uniform to within a 1e-6 relative spread.
-    """
-    header, rows, linenos = _read_rows(path)
-    ncols = len(rows[0])
-    data = np.asarray(rows)
-    use_time = ncols >= 2 and (time_col is None or time_col.lower() != "none")
-    t_idx = _resolve_column(time_col, header, ncols, 0) if use_time else None
-    v_idx = _resolve_column(value_col, header, ncols, 1 if use_time else 0)
-    used = [v_idx] if t_idx is None else [t_idx, v_idx]
-    bad_rows, bad_cols = np.nonzero(~np.isfinite(data[:, used]))
-    if bad_rows.size:
-        r, c = bad_rows[0], used[bad_cols[0]]
-        raise ParseError(f"{path}: line {linenos[r]}: column {c} is {data[r, c]}")
-    values = data[:, v_idx]
-    if t_idx is None:
-        return Signal(values, dt=1.0, t0=0.0)
-    t = data[:, t_idx]
-    steps = np.diff(t)
-    dt = float(np.median(steps))
-    if dt <= 0:
-        raise NonUniformSampling(f"{path}: time column must be strictly increasing")
-    bad = np.flatnonzero(np.abs(steps - dt) > 1e-6 * abs(dt))
-    if bad.size:
-        raise NonUniformSampling(
-            f"{path}: line {linenos[bad[0] + 1]}: time step "
-            f"{steps[bad[0]]!r} deviates from dt={dt!r}"
-        )
-    return Signal(values, dt=dt, t0=float(t[0]))
-
-
-# CSV text is formatted column by column for a block of this many rows at
-# a time, so the text held in memory stays bounded on long signals. The one
-# exception is the time column, which a run formats once for all its files.
-_ROW_BLOCK = 4096
-
-
-def _format_column(values) -> list[str]:
-    """Shortest round-trip decimal of every value, as float64."""
-    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
-
-
-def _write_csv(path: Path, columns: list[tuple[str, np.ndarray | list[str]]]) -> None:
-    """Named columns of floats, or of their text already formatted."""
-    names = [name for name, _ in columns]
-    cols = [col for _, col in columns]
-    with path.open("w") as fh:
-        fh.write(",".join(names) + "\n")
-        for lo in range(0, len(cols[0]), _ROW_BLOCK):
-            cells = [
-                c[lo : lo + _ROW_BLOCK]
-                if isinstance(c, list)
-                else _format_column(c[lo : lo + _ROW_BLOCK])
-                for c in cols
-            ]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
-
-
-def _write_spectrum_csv(
-    path: Path, grid: TimeFrequencyGrid, time_text: list[str]
-) -> None:
-    """time plus one column per bin center; zero cells are written "0.0".
-
-    ``time_text`` is ``grid.times``, already formatted.
-
-    Only the grid's cells are formatted, a block of rows at a time, and the
-    zero runs between them are spliced in. Each line is written as soon as
-    it is built, so the text held in memory is one line, however wide.
-    """
-    centers = 0.5 * (grid.freqs[:-1] + grid.freqs[1:])
-    nbins = centers.size
-    zeros = ",0.0" * nbins  # a run of k zero cells is zeros[: 4 * k]
-    with path.open("w") as fh:
-        fh.write(",".join(["time", *_format_column(centers)]) + "\n")
-        for lo in range(0, grid.times.size, _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, grid.times.size)
-            a, b = np.searchsorted(grid.rows, (lo, hi))
-            # The cells of row lo + i are ends[i] .. ends[i + 1] - 1 of the block's.
-            ends = np.searchsorted(grid.rows[a:b], np.arange(lo, hi + 1)).tolist()
-            cols = grid.bins[a:b].tolist()
-            texts = _format_column(grid.values[a:b])
-            for i, t in enumerate(time_text[lo:hi]):
-                parts = [t]
-                last = -1  # column of the row's latest cell
-                for k in range(ends[i], ends[i + 1]):
-                    parts.append(zeros[: 4 * (cols[k] - last - 1)] + "," + texts[k])
-                    last = cols[k]
-                parts.append(zeros[: 4 * (nbins - 1 - last)] + "\n")
-                fh.write("".join(parts))
-
-
-def write_imfs_csv(
-    path: str | Path,
-    source: Signal,
-    d: Decomposition,
-    *,
-    time_text: list[str] | None = None,
-) -> None:
-    """time, imf1..imfK, residual, as shortest round-trip decimals.
-
-    ``time_text``, when given, holds ``source.times`` already formatted
-    (see ``_format_column``), so a run formats its time axis only once.
-    """
-    times = time_text if time_text is not None else source.times
-    cols: list[tuple[str, np.ndarray | list[str]]] = [("time", times)]
-    cols += [(f"imf{i + 1}", imf.samples) for i, imf in enumerate(d.imfs)]
-    cols.append(("residual", d.residual.samples))
-    _write_csv(Path(path), cols)
-
-
-def read_imfs_csv(path: str | Path) -> tuple[Signal, Decomposition]:
-    """Rebuild (input signal, decomposition) from an imfs.csv file."""
-    header, rows, _ = _read_rows(path)
-    if header is None or header[0] != "time" or header[-1] != "residual":
-        raise ParseError(f"{path}: not an imfs.csv file")
-    data = np.asarray(rows)
-    t = data[:, 0]
-    dt = float(np.median(np.diff(t)))
-    residual = Signal(data[:, -1], dt=dt, t0=float(t[0]))
-    imfs = tuple(
-        Signal(data[:, j], dt=dt, t0=float(t[0])) for j in range(1, data.shape[1] - 1)
-    )
-    meta = tuple(ImfMeta(0, StopReason.DELTA_REACHED) for _ in imfs)
-    d = Decomposition(imfs=imfs, residual=residual, meta=meta)
-    return d.reconstruct(), d
 
 
 # ---------------------------------------------------------------------------
@@ -377,44 +169,7 @@ def _build_settings(cls, options: dict):
 
 
 # ---------------------------------------------------------------------------
-# Run configuration
-
-
-@dataclass
-class RunConfig:
-    """Everything one `decompose` invocation needs."""
-
-    method: str
-    input_path: str
-    output_dir: str
-    settings: EMDSettings | EEMDSettings | IFSettings  # from _build_settings
-    value_col: str | None = None
-    time_col: str | None = None
-    plot: bool = False
-    threads: int = 1
-    spectrum_bins: int = 128
-    estimator: str = "hilbert"
-
-
-# ---------------------------------------------------------------------------
-# Output emission
-
-def _write_meta(path: Path, pairs: list[tuple[str, object]]) -> None:
-    with path.open("w") as fh:
-        for key, value in pairs:
-            if isinstance(value, Enum):
-                value = value.value
-            fh.write(f"{key} = {value}\n")
-
-
-def read_meta(path: str | Path) -> dict[str, str]:
-    """Parse a meta.txt back into a key -> value-string mapping."""
-    result = {}
-    for line in Path(path).read_text().splitlines():
-        if " = " in line:
-            key, value = line.split(" = ", 1)
-            result[key.strip()] = value.strip()
-    return result
+# Runs
 
 
 def _settings_pairs(settings, threads: int) -> list[tuple[str, object]]:
@@ -437,15 +192,10 @@ def _settings_pairs(settings, threads: int) -> list[tuple[str, object]]:
     return pairs
 
 
-def _meta_pairs(cfg: RunConfig, d: Decomposition, n: int, dt: float, t0: float):
-    pairs: list[tuple[str, object]] = [
-        ("method", cfg.method),
-        ("input", cfg.input_path),
-        ("n", n),
-        ("dt", dt),
-        ("t0", t0),
-    ]
-    pairs += _settings_pairs(cfg.settings, cfg.threads)
+def _meta_pairs(args: argparse.Namespace, settings, d: Decomposition, s) -> list:
+    """meta.txt lines of a decompose run of ``s`` with ``settings``."""
+    pairs = [("method", args.method), ("input", args.input), ("n", len(s))]
+    pairs += [("dt", s.dt), ("t0", s.t0), *_settings_pairs(settings, args.threads)]
     pairs.append(("imfs_extracted", len(d.imfs)))
     for i, m in enumerate(d.meta, start=1):
         pairs.append((f"imf{i}.iterations", m.inner_iterations))
@@ -455,28 +205,14 @@ def _meta_pairs(cfg: RunConfig, d: Decomposition, n: int, dt: float, t0: float):
     return pairs
 
 
-def _write_traces_and_spectrum(
-    out: Path,
-    d: Decomposition,
-    time_text: list[str],
-    estimator: str,
-    nbins: int,
-    plot: bool,
-    weight: str = "amplitude",
+def _add_traces_and_spectrum(
+    plan: EmissionPlan, out: Path, d: Decomposition, estimator: str, nbins: int,
+    plot: bool, weight: str = "amplitude",
 ) -> None:
-    """iftrace_k.csv per IMF and spectrum.csv; ``time_text`` is
-    ``d.residual.times``, formatted."""
+    """iftrace_k.csv per IMF, spectrum.csv and, with ``plot``, spectrum.svg."""
     traces = [specfreq._ESTIMATORS[estimator](imf) for imf in d.imfs]
     for i, trace in enumerate(traces, start=1):
-        _write_csv(
-            out / f"iftrace_{i}.csv",
-            [
-                ("time", time_text),
-                ("amplitude", trace.amplitude.samples),
-                ("frequency", trace.frequency.samples),
-                ("valid", trace.valid_mask.astype(np.float64)),
-            ],
-        )
+        plan.add_trace(out / f"iftrace_{i}.csv", trace)
     if d.imfs:
         grid = hilbert_spectrum(
             d, nbins=nbins, estimator=estimator, weight=weight, traces=traces
@@ -484,9 +220,9 @@ def _write_traces_and_spectrum(
     else:
         edges = specfreq._bin_edges(d.residual.dt, nbins)
         grid = TimeFrequencyGrid.from_cells(d.residual.times, edges, [], [], [])
-    _write_spectrum_csv(out / "spectrum.csv", grid, time_text)
+    plan.add_spectrum(out / "spectrum.csv", grid)
     if plot:
-        (out / "spectrum.svg").write_text(render_spectrum_svg(grid))
+        plan.add_text(out / "spectrum.svg", lambda: render_spectrum_svg(grid))
 
 
 def _require_positive(flag: str, value: int) -> None:
@@ -494,42 +230,46 @@ def _require_positive(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be >= 1 (got {value})")
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a decomposition run; returns a process exit status."""
-    _require_positive("--spectrum-bins", cfg.spectrum_bins)
-    _require_positive("--threads", cfg.threads)
-    s = ingest_csv(cfg.input_path, value_col=cfg.value_col, time_col=cfg.time_col)
-    if cfg.method == "emd":
-        d = emd(s, cfg.settings)
-    elif cfg.method == "eemd":
-        d = eemd(s, cfg.settings, threads=cfg.threads)
-    elif cfg.method == "if":
-        d = iterative_filtering(s, cfg.settings)
+def run(args: argparse.Namespace, settings) -> int:
+    """Run ``decompose`` with the method's settings; returns an exit status."""
+    _require_positive("--spectrum-bins", args.spectrum_bins)
+    _require_positive("--threads", args.threads)
+    s = ingest_csv(args.input, value_col=args.value_col, time_col=args.time_col)
+    if args.method == "emd":
+        d = emd(s, settings)
+    elif args.method == "eemd":
+        d = eemd(s, settings, threads=args.threads)
+    elif args.method == "if":
+        d = iterative_filtering(s, settings)
     else:
-        raise ValueError(f"unknown method {cfg.method!r}")
-    out = Path(cfg.output_dir)
+        raise ValueError(f"unknown method {args.method!r}")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # Every component shares the input's time grid, so d.residual.times
-    # equals s.times and one formatted copy serves every CSV file.
-    time_text = _format_column(s.times)
-    write_imfs_csv(out / "imfs.csv", s, d, time_text=time_text)
-    _write_meta(out / "meta.txt", _meta_pairs(cfg, d, len(s), s.dt, s.t0))
+    # equals s.times, the time column of every CSV file.
+    plan = EmissionPlan(s.times)
+    plan.add_meta(out / "meta.txt", _meta_pairs(args, settings, d, s))
+    plan.add_imfs(out / "imfs.csv", d)
     if len(s) >= 8:
-        _write_traces_and_spectrum(
-            out, d, time_text, cfg.estimator, cfg.spectrum_bins, cfg.plot
+        _add_traces_and_spectrum(
+            plan, out, d, args.estimator, args.spectrum_bins, args.plot
         )
-    if cfg.plot:
-        (out / "decomposition.svg").write_text(render_decomposition_svg(s, d))
+    if args.plot:
+        plan.add_text(out / "decomposition.svg", lambda: render_decomposition_svg(s, d))
+    plan.run()
     return 0
 
 
-def run_spectrum(in_dir: str, bins: int, estimator: str, weight: str, plot: bool) -> int:
+def run_spectrum(args: argparse.Namespace) -> int:
     """Recompute IF traces and the spectrum from a previous run's imfs.csv."""
-    _require_positive("--bins", bins)
-    out = Path(in_dir)
+    _require_positive("--bins", args.bins)
+    out = Path(args.in_dir)
     _, d = read_imfs_csv(out / "imfs.csv")
-    time_text = _format_column(d.residual.times)
-    _write_traces_and_spectrum(out, d, time_text, estimator, bins, plot, weight=weight)
+    plan = EmissionPlan(d.residual.times)
+    _add_traces_and_spectrum(
+        plan, out, d, args.estimator, args.bins, args.plot, weight=args.weight
+    )
+    plan.run()
     return 0
 
 
@@ -594,23 +334,9 @@ def main(argv: list[str] | None = None) -> int:
             # A flag beats the same key from the settings file.
             raw.update((k, v) for k in _OPTIONS if (v := getattr(args, k)) is not None)
             options = build_options(args.method, raw)
-            cfg = RunConfig(
-                method=args.method,
-                input_path=args.input,
-                output_dir=args.out,
-                settings=_build_settings(_METHOD_SETTINGS[args.method], options),
-                value_col=args.value_col,
-                time_col=args.time_col,
-                plot=args.plot,
-                threads=args.threads,
-                spectrum_bins=args.spectrum_bins,
-                estimator=args.estimator,
-            )
-            return run(cfg)
+            return run(args, _build_settings(_METHOD_SETTINGS[args.method], options))
         if args.command == "spectrum":
-            return run_spectrum(
-                args.in_dir, args.bins, args.estimator, args.weight, args.plot
-            )
+            return run_spectrum(args)
         if args.command == "info":
             return run_info(args.input, args.value_col, args.time_col)
         raise ValueError(f"unknown command {args.command!r}")

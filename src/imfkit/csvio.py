@@ -1,0 +1,465 @@
+"""Files of the imfkit CLI: CSV input, and the plan that writes a run's output.
+
+Reading: one parser serves :func:`ingest_csv` and :func:`read_imfs_csv`.
+It converts a block of lines at a time, with one ``map(float)`` over the
+block's cells, into a preallocated float64 array, and looks for the
+offending line only when a block fails, so every error still names the
+file and line.
+
+Writing: the files of a run (CSV tables, meta.txt and SVG plots) form one
+:class:`EmissionPlan`, a job per file, which runs the jobs on forked
+processes, one per CPU the process may use. A CSV job names its columns,
+and a column is formatted to text in the process that writes it, a block
+of rows at a time; the time column, which every CSV file of a run shares,
+is formatted once per process. Cells are shortest round-trip decimals, so
+the bytes do not depend on which process writes which file.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+import traceback
+from dataclasses import dataclass
+from enum import Enum
+from functools import partial
+from itertools import repeat
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from .core import Decomposition, ImfMeta, Signal, StopReason
+from .specfreq import IFTrace, TimeFrequencyGrid
+
+
+class IngestError(Exception):
+    """Base class for input-file problems."""
+
+
+class ParseError(IngestError):
+    """A cell could not be parsed; the message names the offending line."""
+
+
+class TooShort(IngestError):
+    """Fewer than two data rows."""
+
+
+class NonUniformSampling(IngestError):
+    """Time column is not a uniform grid; the message names the bad row."""
+
+
+# Files are parsed, and CSV text is formatted, a block of this many rows at
+# a time, so the memory a long signal takes beyond its arrays stays bounded.
+_ROW_BLOCK = 4096
+# spectrum.csv blocks hold at most this many cells (about 2 MB of text), so
+# a grid with many bins writes fewer rows per block.
+_BLOCK_CELLS = 1 << 19
+
+# ---------------------------------------------------------------------------
+# Reading
+
+
+def _raise_bad_line(path, lines: list[str], linenos, ncols: int) -> None:
+    """Raise the ParseError of the first of ``lines`` that is not a data row."""
+    for line, lineno in zip(lines, linenos):
+        cells = [c.strip() for c in line.split(",")]
+        try:
+            values = [float(c) for c in cells]
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if len(values) != ncols:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {ncols} columns, got {len(values)}"
+            )
+
+
+def _read_table(path: str | Path) -> tuple[list[str] | None, np.ndarray, np.ndarray]:
+    """Rows of a CSV file as floats, plus the auto-detected header.
+
+    Returns (header or None, a (rows, columns) float64 array, 1-based file
+    line number per row). Blank lines are skipped; a first non-blank line
+    that does not parse as numbers is the header.
+    """
+    lines = Path(path).read_text().splitlines()
+    nonblank = (i for i, line in enumerate(lines) if line.strip())
+    first = next(nonblank, None)
+    header: list[str] | None = None
+    if first is not None:
+        cells = [c.strip() for c in lines[first].split(",")]
+        try:
+            for c in cells:
+                float(c)
+        except ValueError:
+            header = cells
+            first = next(nonblank, None)
+    if first is None:
+        raise TooShort(f"{path}: need at least 2 data rows, found 0")
+    ncols = lines[first].count(",") + 1
+    data = np.empty((len(lines) - first, ncols))
+    linenos = np.empty(len(lines) - first, dtype=np.intp)
+    nrows = 0
+    for lo in range(first, len(lines), _ROW_BLOCK):
+        block = lines[lo : lo + _ROW_BLOCK]
+        keep = np.flatnonzero(list(map(bool, map(str.strip, block))))
+        if keep.size < len(block):
+            block = [block[i] for i in keep.tolist()]
+        k = len(block)
+        rows = slice(nrows, nrows + k)
+        linenos[rows] = keep + (lo + 1)
+        try:
+            if set(map(str.count, block, repeat(","))) - {ncols - 1}:
+                raise ValueError("column count")
+            data[rows] = np.fromiter(
+                map(float, ",".join(block).split(",")), np.float64, k * ncols
+            ).reshape(k, ncols)
+        except ValueError:
+            _raise_bad_line(path, block, linenos[rows].tolist(), ncols)
+            raise
+        nrows += k
+    if nrows < 2:
+        raise TooShort(f"{path}: need at least 2 data rows, found {nrows}")
+    return header, data[:nrows], linenos[:nrows]
+
+
+def _check_finite(path, data: np.ndarray, linenos: np.ndarray, cols: list[int]) -> None:
+    bad_rows, bad_cols = np.nonzero(~np.isfinite(data[:, cols]))
+    if bad_rows.size:
+        r, c = bad_rows[0], cols[bad_cols[0]]
+        raise ParseError(f"{path}: line {linenos[r]}: column {c} is {data[r, c]}")
+
+
+def _uniform_step(path, t: np.ndarray, linenos: np.ndarray) -> float:
+    """The step of a uniform time column, to within a 1e-6 relative spread."""
+    steps = np.diff(t)
+    dt = float(np.median(steps))
+    if dt <= 0:
+        raise NonUniformSampling(f"{path}: time column must be strictly increasing")
+    bad = np.flatnonzero(np.abs(steps - dt) > 1e-6 * abs(dt))
+    if bad.size:
+        raise NonUniformSampling(
+            f"{path}: line {linenos[bad[0] + 1]}: time step "
+            f"{steps[bad[0]]!r} deviates from dt={dt!r}"
+        )
+    return dt
+
+
+def _resolve_column(
+    selector: str | None, header: list[str] | None, ncols: int, default: int
+) -> int:
+    if selector is None:
+        return default
+    try:
+        idx = int(selector)
+    except ValueError:
+        if header is None or selector not in header:
+            raise ParseError(f"unknown column {selector!r}") from None
+        idx = header.index(selector)
+    if not (0 <= idx < ncols):
+        raise ParseError(f"column index {idx} out of range (file has {ncols})")
+    return idx
+
+
+def ingest_csv(
+    path: str | Path,
+    value_col: str | None = None,
+    time_col: str | None = None,
+) -> Signal:
+    """Load a uniformly sampled signal from a CSV file.
+
+    One column: values with dt = 1. Two or more: the first column is the
+    time axis and the second the values, unless overridden by index or
+    header name; pass ``time_col="none"`` to ignore the time column. The
+    time grid must be uniform to within a 1e-6 relative spread.
+    """
+    header, data, linenos = _read_table(path)
+    ncols = data.shape[1]
+    use_time = ncols >= 2 and (time_col is None or time_col.lower() != "none")
+    t_idx = _resolve_column(time_col, header, ncols, 0) if use_time else None
+    v_idx = _resolve_column(value_col, header, ncols, 1 if use_time else 0)
+    _check_finite(path, data, linenos, [v_idx] if t_idx is None else [t_idx, v_idx])
+    values = data[:, v_idx]
+    if t_idx is None:
+        return Signal(values, dt=1.0, t0=0.0)
+    t = data[:, t_idx]
+    return Signal(values, dt=_uniform_step(path, t, linenos), t0=float(t[0]))
+
+
+def read_imfs_csv(path: str | Path) -> tuple[Signal, Decomposition]:
+    """Rebuild (input signal, decomposition) from an imfs.csv file.
+
+    Every cell must be finite and the time column uniform, as for
+    :func:`ingest_csv`.
+    """
+    header, data, linenos = _read_table(path)
+    if header is None or header[0] != "time" or header[-1] != "residual":
+        raise ParseError(f"{path}: not an imfs.csv file")
+    _check_finite(path, data, linenos, list(range(data.shape[1])))
+    t = data[:, 0]
+    dt = _uniform_step(path, t, linenos)
+    residual = Signal(data[:, -1], dt=dt, t0=float(t[0]))
+    imfs = tuple(
+        Signal(data[:, j], dt=dt, t0=float(t[0])) for j in range(1, data.shape[1] - 1)
+    )
+    meta = tuple(ImfMeta(0, StopReason.DELTA_REACHED) for _ in imfs)
+    d = Decomposition(imfs=imfs, residual=residual, meta=meta)
+    return d.reconstruct(), d
+
+
+def read_meta(path: str | Path) -> dict[str, str]:
+    """Parse a meta.txt back into a key -> value-string mapping."""
+    result = {}
+    for line in Path(path).read_text().splitlines():
+        if " = " in line:
+            key, value = line.split(" = ", 1)
+            result[key.strip()] = value.strip()
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Writing
+
+# The text of a column's cells in a block of rows.
+Column = Callable[[slice], list[str]]
+
+
+def _format_column(values) -> list[str]:
+    """Shortest round-trip decimal of every value, as float64."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def _floats(values: np.ndarray) -> Column:
+    return lambda rows: _format_column(values[rows])
+
+
+# A boolean column's cells: its values as floats print "0.0" and "1.0".
+_FLAG_TEXT = ("0.0", "1.0")
+
+
+def _flags(mask: np.ndarray) -> Column:
+    return lambda rows: list(map(_FLAG_TEXT.__getitem__, mask[rows].tolist()))
+
+
+def _write_csv(path: Path, columns: dict[str, Column], n: int) -> None:
+    """A header line of the column names, then n rows of their cells."""
+    with path.open("w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, n, _ROW_BLOCK):
+            cells = [column(slice(lo, lo + _ROW_BLOCK)) for column in columns.values()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _component_columns(d: Decomposition) -> dict[str, Column]:
+    columns = {f"imf{i}": _floats(imf.samples) for i, imf in enumerate(d.imfs, start=1)}
+    columns["residual"] = _floats(d.residual.samples)
+    return columns
+
+
+def write_imfs_csv(path: str | Path, source: Signal, d: Decomposition) -> None:
+    """time, imf1..imfK, residual, as shortest round-trip decimals."""
+    columns = {"time": _floats(source.times), **_component_columns(d)}
+    _write_csv(Path(path), columns, len(source))
+
+
+def _write_spectrum_csv(
+    path: Path, grid: TimeFrequencyGrid, time_text: list[str]
+) -> None:
+    """time plus one column per bin center; zero cells are written "0.0".
+
+    ``time_text`` is ``grid.times``, already formatted.
+
+    Only the grid's cells are formatted. A block of rows is written as one
+    sequence of pieces: each row's time, then for each of its cells the
+    run of zero cells before it and its text, then the zero run that ends
+    the row. Runs of equal length are one string. A block holds at most
+    ``_BLOCK_CELLS`` cells, so its text stays small however wide the grid.
+    """
+    centers = 0.5 * (grid.freqs[:-1] + grid.freqs[1:])
+    nbins = centers.size
+    # A run of z zero cells is the last 4 * z + 1 characters of one of these:
+    # the zeros, then the comma before a cell or the line end.
+    runs = (",0.0" * nbins + ",", ",0.0" * nbins + "\n")
+    kind = len(runs[0]) + 1  # run codes are 4 * z + 1 + kind * (line end)
+    step = max(1, min(_ROW_BLOCK, _BLOCK_CELLS // nbins))
+    with path.open("w") as fh:
+        fh.write(",".join(["time", *_format_column(centers)]) + "\n")
+        for lo in range(0, grid.times.size, step):
+            hi = min(lo + step, grid.times.size)
+            a, b = np.searchsorted(grid.rows, (lo, hi))
+            rows, m = grid.rows[a:b] - lo, hi - lo
+            ends = np.searchsorted(rows, np.arange(1, m + 1))  # cells to each row's end
+            # Pieces alternate text and run; text slot j is piece 2j, run slot
+            # j piece 2j + 1. Row i opens at slot i + (cells before row i):
+            # its time and the run before its first cell (or its end). Cell k
+            # has run slot rows[k] + k and the next text slot; row i ends
+            # with run slot i + ends[i].
+            close = np.arange(m) + ends
+            opening = close - np.diff(ends, prepend=0)
+            cell = rows + np.arange(b - a)
+            # Each run ends at a column, its cell's bin or nbins at the line
+            # end, and covers the zero cells since the previous run's end.
+            end_col = np.empty(m + b - a, dtype=np.intp)
+            end_col[cell] = grid.bins[a:b]
+            end_col[close] = nbins
+            zeros = np.diff(end_col, prepend=-1) - 1
+            zeros[opening] = end_col[opening]
+            codes, which = np.unique(
+                4 * zeros + 1 + kind * (end_col == nbins), return_inverse=True
+            )
+            table = [runs[c // kind][-(c % kind) :] for c in codes.tolist()]
+            pieces = np.empty(2 * (m + b - a), dtype=object)
+            pieces[1::2] = np.array(table, dtype=object)[which]
+            texts = pieces[0::2]
+            texts[opening] = time_text[lo:hi]
+            texts[cell + 1] = _format_column(grid.values[a:b])
+            fh.write("".join(pieces.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The emission plan
+
+
+@dataclass(frozen=True)
+class _Job:
+    path: Path
+    cells: int  # numbers the job formats: its share of the work
+    write: Callable[[Path], None]
+
+
+class EmissionPlan:
+    """The output files of a run, one job each, written on every CPU.
+
+    ``times`` is the time axis every CSV file of the run starts with. Add
+    the jobs, then :meth:`run` them: on ``min(jobs, CPUs this process may
+    run on)`` processes forked from this one, or in this process when that
+    is one. Jobs go out largest first, each to the worker with the fewest
+    cells so far, and each worker writes its files smallest first: text
+    files such as SVG plots, which need no time column, are then built
+    before the time column's text is held, which keeps a writer's memory
+    below this process's. Children leave with ``os._exit``, so they flush
+    none of this process's buffers and run none of its exit handlers; a
+    failed job's exception is raised here once every child has ended.
+
+    Writers are forked, as EEMD's workers are, so they share the run's
+    arrays instead of being sent them; run the plan from a process that
+    runs no other Python threads.
+    """
+
+    def __init__(self, times: np.ndarray):
+        self._times = times
+        self._time_text: list[str] | None = None
+        self._jobs: list[_Job] = []
+
+    def _time(self, rows: slice) -> list[str]:
+        """The time column, formatted on first use in each process."""
+        if self._time_text is None:
+            self._time_text = _format_column(self._times)
+        return self._time_text[rows]
+
+    def _add_csv(self, path: Path, columns: dict[str, Column], formatted: int) -> None:
+        n = self._times.size
+        write = partial(_write_csv, columns={"time": self._time, **columns}, n=n)
+        self._jobs.append(_Job(path, n * formatted, write))
+
+    def add_imfs(self, path: Path, d: Decomposition) -> None:
+        """imfs.csv: time, imf1..imfK, residual."""
+        self._add_csv(path, _component_columns(d), len(d.imfs) + 2)
+
+    def add_trace(self, path: Path, trace: IFTrace) -> None:
+        """iftrace_k.csv: time, amplitude, frequency, valid."""
+        columns = {
+            "amplitude": _floats(trace.amplitude.samples),
+            "frequency": _floats(trace.frequency.samples),
+            "valid": _flags(trace.valid_mask),
+        }
+        self._add_csv(path, columns, 3)
+
+    def add_spectrum(self, path: Path, grid: TimeFrequencyGrid) -> None:
+        """spectrum.csv: time, then the grid's row over the bin centers."""
+        write = lambda p: _write_spectrum_csv(p, grid, self._time(slice(None)))
+        self._jobs.append(_Job(path, self._times.size + grid.values.size, write))
+
+    def add_meta(self, path: Path, pairs: list[tuple[str, object]]) -> None:
+        """meta.txt: a ``key = value`` line per pair, an enum by its value."""
+        text = "".join(
+            f"{key} = {value.value if isinstance(value, Enum) else value}\n"
+            for key, value in pairs
+        )
+        self.add_text(path, lambda: text)
+
+    def add_text(self, path: Path, render: Callable[[], str]) -> None:
+        """A file of ``render()``'s text, such as an SVG plot.
+
+        It formats no table cells, so it counts as no work when the jobs
+        are spread.
+        """
+        self._jobs.append(_Job(path, 0, lambda p: p.write_text(render())))
+
+    def run(self) -> None:
+        """Write every file."""
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        groups: list[list[_Job]] = [[] for _ in range(min(len(self._jobs), cpus))]
+        load = [0] * len(groups)
+        for job in sorted(self._jobs, key=lambda job: -job.cells):
+            w = load.index(min(load))
+            groups[w].insert(0, job)  # each worker writes its smallest files first
+            load[w] += job.cells
+        if len(groups) == 1:
+            for job in groups[0]:
+                job.write(job.path)
+        elif groups:
+            _run_forked(groups)
+
+
+def _run_child(jobs: list[_Job], report: int) -> None:
+    """Write ``jobs`` in a forked child, then leave it; never returns."""
+    status = 1
+    try:
+        for job in jobs:
+            job.write(job.path)
+        status = 0
+    except BaseException as exc:
+        try:
+            data = pickle.dumps(exc)
+        except Exception:
+            data = pickle.dumps(RuntimeError(traceback.format_exc()))
+        with os.fdopen(report, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(status)
+
+
+def _run_forked(groups: list[list[_Job]]) -> None:
+    """Each group of jobs on a forked child; raise the first failure here."""
+    children: list[tuple[int, int]] = []  # (pid, read end of its report pipe)
+    failures = []
+    try:
+        for jobs in groups:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _run_child(jobs, w)
+            os.close(w)
+            children.append((pid, r))
+        while children:
+            pid, r = children[0]
+            with os.fdopen(r, "rb", closefd=False) as fh:
+                report = fh.read()  # ends when the child exits
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(r)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                failures.append(
+                    pickle.loads(report) if report
+                    else RuntimeError(f"writer process ended with status {code}")
+                )
+    finally:
+        for pid, r in children:  # only after an error in this process
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    if failures:
+        raise failures[0]

@@ -184,20 +184,22 @@ def mask_gain(mask: MaskFunction, n: int) -> np.ndarray:
 
 def _mask_operator(
     mask: MaskFunction, n: int, extension: BoundaryExtension
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The moving average x -> M(x) for n-sample signals.
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray | None]:
+    """The moving average x -> M(x) for n-sample signals, and its gain.
 
     The mask's transform (or its weights and padding mode) is prepared
-    once, so a loop that applies the same mask pays for it only once.
+    once, so a loop that applies the same mask pays for it only once. The
+    gain is :func:`mask_gain` on n points under periodic extension, where
+    M multiplies by it, and None otherwise.
     """
     l = mask.half_length
     if l >= n:
         raise MaskTooLong(f"mask half-length {l} must be < signal length {n}")
     if extension is BoundaryExtension.PERIODIC:
         gain = mask_gain(mask, n)
-        return lambda x: np.fft.irfft(np.fft.rfft(x) * gain, n)
+        return (lambda x: np.fft.irfft(np.fft.rfft(x) * gain, n)), gain
     weights, mode = mask.weights, _NP_PAD_MODE[extension]
-    return lambda x: np.convolve(np.pad(x, l, mode=mode), weights, mode="valid")
+    return (lambda x: np.convolve(np.pad(x, l, mode=mode), weights, mode="valid")), None
 
 
 def moving_average(s: Signal, w: MaskFunction, ext: BoundaryExtension) -> Signal:
@@ -207,7 +209,8 @@ def moving_average(s: Signal, w: MaskFunction, ext: BoundaryExtension) -> Signal
     (a circular convolution); reflection and constant extension pad the
     signal and take the direct sum over the mask.
     """
-    return s.with_samples(_mask_operator(w, len(s), ext)(s.samples))
+    average, _ = _mask_operator(w, len(s), ext)
+    return s.with_samples(average(s.samples))
 
 
 def _if_extract_loop(
@@ -233,7 +236,7 @@ def _if_extract_loop(
 
 def _if_extract_spectral(
     cur: np.ndarray,
-    mask: MaskFunction,
+    g: np.ndarray,
     extension: BoundaryExtension,
     average: Callable[[np.ndarray], np.ndarray],
     delta: float,
@@ -248,14 +251,14 @@ def _if_extract_spectral(
     original samples are (squared norm over N + first^2 + last^2) / 2, and
     the two end samples are sums over the modes too. The stop index comes
     from a scan over vectors of N//2+1 entries, and the result from one
-    inverse transform and one step of the moving average itself.
+    inverse transform and one step of the moving average itself. ``g`` is
+    the mask's gain (:func:`mask_gain`) on the N-point grid.
     """
     n = cur.size
     reflect = extension is BoundaryExtension.REFLECTION
     ext = np.concatenate([cur, cur[-2:0:-1]]) if reflect else cur
     period = ext.size
     spec = np.fft.rfft(ext)
-    g = mask_gain(mask, period)
     h = 1.0 - g
     # One-sided rfft weights over N: sum(ext**2) == sum(weight * |spec|**2).
     weight = np.full(g.size, 2.0 / period)
@@ -305,7 +308,7 @@ def _if_extract_arr(
     if _sum_squares(cur) == 0.0:
         # 0/0 ratio convention: an identically zero signal is converged.
         return cur, 0, StopReason.DELTA_REACHED
-    average = _mask_operator(mask, cur.size, cfg.extension)
+    average, gain = _mask_operator(mask, cur.size, cfg.extension)
     # Edge padding is not a periodic extension, so constant extension has
     # no mode-wise form and iterates in the time domain throughout. The
     # others take their first iteration there too: a signal the average
@@ -314,8 +317,10 @@ def _if_extract_arr(
     steps = cfg.max_inner if cfg.extension is BoundaryExtension.CONSTANT else 1
     cur, iterations, reason = _if_extract_loop(cur, average, cfg.delta, steps)
     if reason is StopReason.MAX_INNER_REACHED and iterations < cfg.max_inner:
+        if gain is None:  # reflection: the gain on the mirrored period 2(n - 1)
+            gain = mask_gain(mask, 2 * (cur.size - 1))
         cur, more, reason = _if_extract_spectral(
-            cur, mask, cfg.extension, average, cfg.delta, cfg.max_inner - iterations
+            cur, gain, cfg.extension, average, cfg.delta, cfg.max_inner - iterations
         )
         iterations += more
     return np.ldexp(cur, exp), iterations, reason

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -79,6 +80,61 @@ class TestIngest:
         assert s.samples.tolist() == [7, 8, 9]
         s = ingest_csv(p, value_col="1", time_col="none")
         assert s.samples.tolist() == [10, 20, 30] and s.dt == 1.0
+
+
+class TestBlockParser:
+    """Files longer than a row block (4096 lines) are parsed a block at a time."""
+
+    N = 9000
+
+    def rows(self, n):
+        t = 0.25 + np.arange(n) / 64
+        x = np.sin(t) * 10.0 ** np.random.default_rng(4).uniform(-300, 300, n)
+        return [f"{float(a)!r},{float(b)!r}" for a, b in zip(t, x)]
+
+    def test_samples_and_blank_lines_across_blocks(self, tmp_path):
+        rows = self.rows(self.N)
+        lines = ["t,v", *rows[:4000], "", "  ", *rows[4000:6000], *[""] * 5000,
+                 *rows[6000:], "\t", *[" "] * 4100]
+        s = ingest_csv(write(tmp_path / "a.csv", "\n".join(lines) + "\n"))
+        expected = [float(r.split(",")[1]) for r in rows]
+        assert s.samples.tobytes() == np.array(expected).tobytes()
+        assert s.t0 == 0.25 and s.dt == 1 / 64
+
+    @pytest.mark.parametrize("bad, message", [
+        ("bogus", "could not convert string to float: 'bogus'"),
+        ("1.0,2.0,3.0", "expected 2 columns, got 3"),
+        ("5.0", "expected 2 columns, got 1"),
+    ])
+    def test_error_in_a_later_block_names_its_line(self, tmp_path, bad, message):
+        lines = ["t,v", *self.rows(self.N)]
+        lines[6000] = bad  # file line 6001
+        lines[7000] = "also bad"
+        path = write(tmp_path / "a.csv", "\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            ingest_csv(path)
+        assert str(err.value) == f"{path}: line 6001: {message}"
+
+    def test_nonuniform_step_in_a_later_block_names_its_line(self, tmp_path):
+        lines = ["t,v", "", *self.rows(self.N)]
+        lines[8002] = "1000.0,1.0"  # file line 8003
+        path = write(tmp_path / "a.csv", "\n".join(lines) + "\n")
+        with pytest.raises(NonUniformSampling) as err:
+            ingest_csv(path)
+        assert str(err.value).startswith(f"{path}: line 8003: time step")
+
+    def test_peak_memory_of_a_long_file(self, tmp_path):
+        path = write(tmp_path / "a.csv", "time,value\n" + "\n".join(self.rows(65536)))
+        ingest_csv(path)
+        tracemalloc.start()
+        try:
+            s = ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 65536
+        # Rows held as Python lists of floats peaked at 17.8 MB.
+        assert peak <= 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 class TestSettingsFile:
@@ -245,6 +301,27 @@ class TestSpectrumCommand:
         header = after.splitlines()[0].split(",")
         assert header[0] == "time" and len(header) == 33
         assert (out / "iftrace_1.csv").exists()
+
+    @pytest.mark.parametrize("cell, message", [
+        ("99.0", "line 10: time step"),
+        ("nan", "line 10: column 2 is nan"),
+    ])
+    def test_damaged_imfs_csv_names_file_and_line(
+        self, two_tone_csv, tmp_path, capsys, cell, message
+    ):
+        out = tmp_path / "run"
+        assert main(["decompose", "--method", "if", "--input", str(two_tone_csv),
+                     "--out", str(out), "--xi", "3", "--n-imfs", "2"]) == 0
+        path = out / "imfs.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[9].split(",")
+        cells[0 if cell == "99.0" else 2] = cell
+        lines[9] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["spectrum", "--in", str(out), "--bins", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"imfkit: error: {path}: {message}"), err
 
     def test_energy_weight_flag(self, two_tone_csv, tmp_path):
         out = tmp_path / "run"

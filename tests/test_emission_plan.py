@@ -1,0 +1,179 @@
+"""The emission plan: the same bytes on any number of writer processes,
+failures reported by the CLI, and forked writers that leave no trace.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+from imfkit import csvio
+from imfkit.cli import main
+
+N = 9000  # more than two row blocks, so files are cut at block seams
+
+RUNS = {
+    "emd": ["--method", "emd", "--max-imfs", "4"],
+    "eemd": ["--method", "eemd", "--ne", "3", "--seed", "5", "--num-imfs", "4"],
+    "if": ["--method", "if", "--xi", "3", "--n-imfs", "4"],
+}
+
+
+def signal_rows(n, seed=3):
+    t = 0.5 + np.arange(n) / 1024
+    x = np.sin(2 * np.pi * 1.5 * t) + 0.5 * np.sin(2 * np.pi * (20 + 8 * t) * t)
+    x += 0.05 * np.random.default_rng(seed).standard_normal(n)
+    return "t,v\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, x))
+
+
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("input") / "in.csv"
+    path.write_text(signal_rows(N))
+    return path
+
+
+def run_on_cpus(monkeypatch, cpus, argv):
+    """(exit status, forks made) of main(argv) in a process allowed ``cpus`` CPUs."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        m.setattr(os, "fork", counting_fork)
+        code = main(argv)
+    return code, len(forks)
+
+
+def file_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("method", sorted(RUNS))
+def test_one_and_two_writers_write_the_same_bytes(monkeypatch, tmp_path, long_csv, method):
+    outputs = {}
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus{cpus}"
+        argv = ["decompose", *RUNS[method], "--input", str(long_csv), "--out", str(out),
+                "--plot"]
+        code, forks = run_on_cpus(monkeypatch, cpus, argv)
+        assert (code, forks) == (0, 0 if cpus == 1 else 2)
+        outputs[cpus] = file_bytes(out)
+    assert "iftrace_4.csv" in outputs[1] and "spectrum.svg" in outputs[1]
+    assert outputs[1] == outputs[2]
+
+
+def test_spectrum_command_on_two_writers(monkeypatch, tmp_path, long_csv):
+    out = tmp_path / "run"
+    argv = ["decompose", *RUNS["if"], "--input", str(long_csv), "--out", str(out)]
+    assert run_on_cpus(monkeypatch, 1, argv) == (0, 0)
+    written = {}
+    for cpus in (1, 2):
+        argv = ["spectrum", "--in", str(out), "--bins", "40", "--weight", "energy",
+                "--plot"]
+        assert run_on_cpus(monkeypatch, cpus, argv) == (0, 0 if cpus == 1 else 2)
+        written[cpus] = file_bytes(out)
+    assert written[1] == written[2]
+
+
+def test_jobs_go_to_the_least_loaded_writer(monkeypatch, tmp_path):
+    order = []
+
+    def job(name, cells):
+        return csvio._Job(tmp_path / name, cells, lambda p: order.append(p.name))
+
+    plan = csvio.EmissionPlan(np.arange(4.0))
+    plan._jobs = [job("a", 5), job("b", 9), job("c", 4), job("d", 0), job("e", 3)]
+    groups = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(csvio, "_run_forked", groups.extend)
+    plan.run()
+    # By size: b to the first writer, a and c to the second, e to the first
+    # (the lower index on a tie), d to the second. Each writer then writes
+    # its smallest file first.
+    assert [[j.path.name for j in g] for g in groups] == [["e", "b"], ["d", "c", "a"]]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    plan.run()
+    assert order == ["d", "e", "c", "a", "b"]
+
+
+def run_python(code, timeout=120):
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_unwritable_file_is_an_error_naming_it(tmp_path, cpus):
+    (tmp_path / "in.csv").write_text(signal_rows(600))
+    out = tmp_path / "run"
+    (out / "iftrace_2.csv").mkdir(parents=True)
+    argv = ["decompose", *RUNS["if"], "--input", str(tmp_path / "in.csv"),
+            "--out", str(out)]
+    stdout, stderr = run_python(f"""
+        import os
+        os.sched_getaffinity = lambda pid: set(range({cpus}))
+        from imfkit.cli import main
+        code = main({argv!r})
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            children = "left"
+        except ChildProcessError:
+            children = "none"
+        print(code, children)
+    """)
+    assert stdout.split() == ["1", "none"], stderr
+    assert stderr.startswith("imfkit: error: ")
+    assert str(out / "iftrace_2.csv") in stderr
+
+
+def test_writers_run_no_exit_handler_and_flush_nothing(tmp_path):
+    (tmp_path / "in.csv").write_text(signal_rows(600))
+    argv = ["decompose", *RUNS["if"], "--input", str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "run"), "--plot"]
+    stdout, stderr = run_python(f"""
+        import atexit, os, sys
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        atexit.register(lambda: print("exit handler"))
+        print("buffered before the run")  # stdout is a pipe: block-buffered
+        from imfkit.cli import main
+        print("exit", main({argv!r}))
+    """)
+    expected = ["buffered before the run", "exit 0", "exit handler"]
+    assert stdout.splitlines() == expected, stderr
+
+
+def test_writers_are_not_the_peak_of_a_long_run(tmp_path):
+    # The if-64k benchmark input: 65,536 samples of tone, chirp and noise.
+    n, dt = 65536, 1.0 / 4096
+    t = np.arange(n) * dt
+    x = np.sin(2 * np.pi * 0.5 * t) + 0.8 * np.sin(2 * np.pi * (2.0 * t + 1.25 * t * t))
+    x += 0.1 * np.random.default_rng(7).standard_normal(n)
+    path = tmp_path / "in.csv"
+    path.write_text("time,value\n" + "".join(f"{float(a)!r},{float(b)!r}\n"
+                                             for a, b in zip(t, x)))
+    argv = ["decompose", "--method", "if", "--n-imfs", "6", "--xi", "3", "--plot",
+            "--input", str(path), "--out", str(tmp_path / "run")]
+    stdout, stderr = run_python(f"""
+        import os, resource
+        os.sched_getaffinity = lambda pid: {{0, 1}}
+        from imfkit.cli import main
+        code = main({argv!r})
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        writers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        print(code, own, writers)
+    """, timeout=300)
+    code, own, writers = map(int, stdout.split())
+    assert code == 0, stderr
+    assert 0 < writers <= own, f"writers {writers} KiB, parent {own} KiB"

@@ -132,10 +132,10 @@ def test_transform_count_does_not_grow_with_iterations(monkeypatch, extension, m
     assert iterations == max_inner
     # A first iteration in the time domain, then one transform of the
     # signal, the mask's gain, one inverse transform and a last moving
-    # average. Periodic moving averages are transforms too, and the gain is
-    # taken twice there (for the scan and for the moving average).
+    # average. Periodic moving averages are transforms too, and there the
+    # scan shares the moving average's gain.
     assert calls["irfft"] <= 3
-    assert calls["rfft"] <= 5
+    assert calls["rfft"] <= 4
     assert calls["convolve"] <= 2
 
 

@@ -13,7 +13,7 @@ from imfkit import (
     EEMDSettings,
     EMDSettings,
     IFSettings,
-    cli,
+    csvio,
     eemd,
     emd,
     hilbert_spectrum,
@@ -53,7 +53,7 @@ def signal_csv(tmp_path):
 @pytest.fixture(params=[None, 64], ids=["default-block", "block-64"])
 def row_block(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(cli, "_ROW_BLOCK", request.param)
+        monkeypatch.setattr(csvio, "_ROW_BLOCK", request.param)
 
 
 def assert_csv(path, names, columns):

@@ -19,7 +19,7 @@ from imfkit import (
     TimeFrequencyGrid,
     hilbert_spectrum,
 )
-from imfkit.cli import _format_column, _write_spectrum_csv
+from imfkit.csvio import _format_column, _write_spectrum_csv
 from imfkit.specfreq import _ESTIMATORS
 
 

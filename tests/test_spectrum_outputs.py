@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imfkit.cli import _format_column, _write_spectrum_csv
+from imfkit.csvio import _format_column, _write_spectrum_csv
 from imfkit.specfreq import TimeFrequencyGrid
 from imfkit.svgplot import _fmt, render_spectrum_svg
 

@@ -34,7 +34,9 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 
 # (output directory, CLI arguments); "in_long.csv" has 2048 samples, a power
 # of two, and "in_short.csv" 600, which is not, so IF's transforms run on
-# both kinds of length.
+# both kinds of length. "in_9k.csv" has 9000 samples, more than two blocks
+# of 4096 rows, so "if-9k" covers the block seams of parsing and writing,
+# and on a host with more than one CPU, files written by several processes.
 # "eemd" and "eemd-1t" differ only in --threads, so every file of theirs but
 # meta.txt (its "threads =" line) must hash the same. "emd" (reflection),
 # "emd-constant" and "emd-deriv" (periodic) cover the three envelope
@@ -77,6 +79,8 @@ RUNS = [
                  "--n-imfs", "3", "--spectrum-bins", "3000", "--plot"]),
     ("spectrum-energy", ["decompose", "--method", "if", "--input", "in_short.csv",
                          "--xi", "3", "--n-imfs", "3"]),
+    ("if-9k", ["decompose", "--method", "if", "--input", "in_9k.csv",
+               "--xi", "3", "--n-imfs", "5", "--plot"]),
 ]
 
 # Commands whose stdout/stderr text is part of the compared output.
@@ -93,7 +97,7 @@ TEXTS = [
 
 def _write_inputs() -> None:
     rng = np.random.default_rng(2017)
-    for name, n in (("in_long.csv", 2048), ("in_short.csv", 600)):
+    for name, n in (("in_long.csv", 2048), ("in_short.csv", 600), ("in_9k.csv", 9000)):
         t = 0.25 + np.arange(n) / 512
         x = np.sin(2 * np.pi * 1.5 * t) + 0.5 * np.sin(2 * np.pi * 37 * t)
         x += 0.1 * rng.standard_normal(n)
@@ -137,7 +141,8 @@ def main() -> int:
         Path("texts").mkdir()
         for name, argv in TEXTS:
             (Path("texts") / name).write_text(_capture(cli_main, argv))
-        inputs = {"in_long.csv", "in_short.csv", "in_tiny.csv", "ramp.csv", "settings.cfg"}
+        inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_tiny.csv", "ramp.csv",
+                  "settings.cfg"}
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             if path.as_posix() not in inputs:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
