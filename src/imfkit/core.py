@@ -7,9 +7,13 @@ defined here. All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -186,6 +190,42 @@ def _extrema_indices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx_max.astype(np.intp), idx_min.astype(np.intp)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's compiled LAPACK wrapper, loaded without the scipy.linalg package.
+
+    ``scipy.linalg.lapack.dgtsv`` is this module's ``dgtsv``. On a 2-core
+    x86 host with numpy loaded, importing the package around it took
+    ~0.27 s and ~27 MB of RSS, most of it in modules that scipy's array-API
+    layer pulls in; this takes ~20 ms and ~3 MB, ``import scipy`` included,
+    which runs first for scipy's platform set-up. The module is registered
+    under its own name, so a later ``import scipy.linalg`` reuses it, and a
+    wrapper that scipy.linalg already loaded is reused here. ``import
+    imfkit`` does not call this: IF and the Hilbert estimator never fit a
+    spline.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    import scipy
+
+    directory = Path(scipy.__file__).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no _flapack extension in {directory}", name=_FLAPACK)
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, str(path))
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
 def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through the knots (pos, val), sampled at 0..n-1.
 
@@ -204,11 +244,10 @@ def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
     ``[pos[i], pos[i+1])`` (the last interval closed), so the interval of
     each point comes from the knot gaps without a search.
 
-    ``dgtsv`` is imported on the first call, not with the package: IF and
-    the Hilbert estimator never fit a spline, and ``scipy.linalg`` costs
-    ~30 MB and ~0.4 s to load.
+    ``dgtsv`` comes from :func:`_lapack`: the first call loads scipy's
+    LAPACK wrapper (~20 ms), not the scipy.linalg package.
     """
-    from scipy.linalg.lapack import dgtsv
+    dgtsv = _lapack().dgtsv
 
     m = pos.size
     dx = np.diff(pos)

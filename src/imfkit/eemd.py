@@ -15,7 +15,14 @@ from functools import partial
 
 import numpy as np
 
-from .core import Decomposition, ImfMeta, Signal, StopReason, ZeroVarianceSignal
+from .core import (
+    Decomposition,
+    ImfMeta,
+    Signal,
+    StopReason,
+    ZeroVarianceSignal,
+    _lapack,
+)
 from .emd import EMDSettings, emd
 
 
@@ -101,14 +108,13 @@ def _in_member_order(task, ne: int, workers: int):
     # Imported here so that ``import imfkit`` loads no process machinery.
     # Fork, not spawn or forkserver: forked workers inherit numpy already
     # imported, where spawned ones would import it again. The spline's
-    # LAPACK solver, which the package imports on first use, is loaded here
-    # before the fork for the same reason: otherwise each worker would
-    # import scipy.linalg itself, ~0.35 s each on a 2-core x86 host.
+    # LAPACK wrapper, which the package loads on first use, is loaded here
+    # before the fork for the same reason: otherwise each worker would load
+    # scipy and the wrapper itself, ~20 ms each on a 2-core x86 host.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    import scipy.linalg.lapack  # noqa: F401
-
+    _lapack()
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         # One member per task (the default chunksize), so the caller

@@ -89,8 +89,8 @@ def render_decomposition_svg(source: Signal, d: Decomposition) -> str:
         f'<text x="{_LEFT}" y="{_fmt(top + 4)}" font-size="11" '
         f'font-family="monospace">t = [{_fmt(t[0])}, {_fmt(t[-1])}]</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 # White -> amber -> dark red, linear in normalized amplitude.
@@ -157,5 +157,5 @@ def render_spectrum_svg(grid: TimeFrequencyGrid) -> str:
             f'font-family="monospace">amplitude 0..{_fmt(peak)}</text>',
         ]
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)

@@ -73,8 +73,8 @@ def test_threads_below_one_rejected(threads):
 
 
 def test_import_loads_no_process_or_thread_pool():
-    # concurrent.futures itself is loaded by scipy.interpolate (through
-    # numpy.testing); the pool modules must only load when a pool is used.
+    # The process and thread pools load only when EEMD uses a pool; a
+    # plain ``import imfkit`` loads neither, nor concurrent.futures at all.
     code = (
         "import sys, imfkit; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process', "

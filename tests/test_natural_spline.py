@@ -105,3 +105,22 @@ def test_import_does_not_load_scipy_interpolate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_bit_identical_when_the_spline_loads_lapack_first():
+    # The spline loads scipy's LAPACK wrapper on its own; CubicSpline,
+    # imported afterwards, must then solve with the same dgtsv.
+    code = (
+        "import sys, numpy as np\n"
+        "from imfkit.core import _natural_spline\n"
+        "pos = np.array([0.0, 1.0, 4.0, 5.0, 13.0, 14.0, 40.0])\n"
+        "val = np.array([0.3, -1.0, 2.5, -0.0, 7.0, -3.0, 1.0])\n"
+        "got = _natural_spline(pos, val, 41)\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "from scipy.interpolate import CubicSpline\n"
+        "want = CubicSpline(pos, val, bc_type='natural')(np.arange(41))\n"
+        "print(np.array_equal(got.view(np.int64), want.view(np.int64)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
