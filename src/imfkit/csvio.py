@@ -11,8 +11,11 @@ Writing: the files of a run (CSV tables, meta.txt and SVG plots) form one
 processes, one per CPU the process may use. A CSV job names its columns,
 and a column is formatted to text in the process that writes it, a block
 of rows at a time; the time column, which every CSV file of a run shares,
-is formatted once per process. Cells are shortest round-trip decimals, so
-the bytes do not depend on which process writes which file.
+is formatted once per process. Cells are shortest round-trip decimals,
+``repr(float(v))``, written by orjson's compiled formatter (see
+:func:`_format_column`), so the bytes do not depend on which process
+writes which file. orjson is imported here, and ``import imfkit`` does not
+load this module.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import orjson
 
 from .core import Decomposition, ImfMeta, Signal, StopReason
 from .specfreq import IFTrace, TimeFrequencyGrid
@@ -225,20 +229,28 @@ Column = Callable[[slice], list[str]]
 
 
 def _format_column(values) -> list[str]:
-    """Shortest round-trip decimal of every value, as float64."""
-    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+    """``repr(float(v))`` of every value of a 1-D array, as float64.
+
+    orjson writes the shortest round-trip decimal of each value in compiled
+    code, with ``repr``'s digits. For zero and magnitudes in [1e-4, 1e16)
+    both use positional notation, so the text is the same. orjson writes
+    other magnitudes in another style (``0.00001``, ``4.6e-6`` and ``1e16``
+    for ``repr``'s ``1e-05``, ``4.6e-06`` and ``1e+16``), and nan and inf
+    as ``null``; those cells, rare in practice, are formatted by ``repr``.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    if not a.size:
+        return []
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    other = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (a != 0))
+    for i, v in zip(other.tolist(), a[other].tolist()):
+        text[i] = repr(v)
+    return text
 
 
 def _floats(values: np.ndarray) -> Column:
     return lambda rows: _format_column(values[rows])
-
-
-# A boolean column's cells: its values as floats print "0.0" and "1.0".
-_FLAG_TEXT = ("0.0", "1.0")
-
-
-def _flags(mask: np.ndarray) -> Column:
-    return lambda rows: list(map(_FLAG_TEXT.__getitem__, mask[rows].tolist()))
 
 
 def _write_csv(path: Path, columns: dict[str, Column], n: int) -> None:
@@ -371,7 +383,7 @@ class EmissionPlan:
         columns = {
             "amplitude": _floats(trace.amplitude.samples),
             "frequency": _floats(trace.frequency.samples),
-            "valid": _flags(trace.valid_mask),
+            "valid": _floats(trace.valid_mask),
         }
         self._add_csv(path, columns, 3)
 

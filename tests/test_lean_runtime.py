@@ -1,5 +1,6 @@
-"""What a run loads and holds: no scipy unless a spline is fitted, no BLAS
-threads in the stopping ratios, and EEMD members received one at a time.
+"""What a run loads and holds: no scipy unless a spline is fitted, no orjson
+on ``import imfkit``, no BLAS threads in the stopping ratios, and EEMD
+members received one at a time.
 """
 
 import ast
@@ -36,11 +37,11 @@ def test_import_and_if_run_load_no_scipy(tmp_path):
             "--plot"]
     code = (
         "import sys, imfkit\n"
-        f"print({SCIPY_MODULES})\n"
+        f"print({SCIPY_MODULES}, 'orjson' in sys.modules)\n"
         "from imfkit.cli import main\n"
         f"print(main({argv!r}), {SCIPY_MODULES})\n"
     )
-    assert run_python(code).splitlines() == ["[]", "0 []"]
+    assert run_python(code).splitlines() == ["[] False", "0 []"]
     assert (tmp_path / "run" / "spectrum.svg").exists()
 
 

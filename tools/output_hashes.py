@@ -43,7 +43,10 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 # boundary modes. "if-bins1" draws a one-bin heat map; "emd-tiny" runs on
 # the 200 samples of "in_tiny.csv", so its heat map is drawn without pooling.
 # "if-wide" has 3000 bins, so spectrum.csv has long zero runs and the pooled
-# heat map many bins.
+# heat map many bins. "if-nano" and "emd-huge" run on "in_short.csv"'s values
+# scaled by 1e-9 and 1e20, so their component and amplitude cells are below
+# 1e-4 or at least 1e16 in magnitude, where the CSV writer takes a cell's
+# text from repr.
 RUNS = [
     ("emd", ["decompose", "--method", "emd", "--input", "in_short.csv", "--plot"]),
     ("emd-constant", ["decompose", "--method", "emd", "--input", "in_short.csv",
@@ -81,6 +84,9 @@ RUNS = [
                          "--xi", "3", "--n-imfs", "3"]),
     ("if-9k", ["decompose", "--method", "if", "--input", "in_9k.csv",
                "--xi", "3", "--n-imfs", "5", "--plot"]),
+    ("if-nano", ["decompose", "--method", "if", "--input", "in_nano.csv",
+                 "--n-imfs", "3"]),
+    ("emd-huge", ["decompose", "--method", "emd", "--input", "in_huge.csv"]),
 ]
 
 # Commands whose stdout/stderr text is part of the compared output.
@@ -103,6 +109,10 @@ def _write_inputs() -> None:
         x += 0.1 * rng.standard_normal(n)
         rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, x))
         Path(name).write_text("t,v\n" + rows)
+        if name == "in_short.csv":
+            for scaled, scale in (("in_nano.csv", 1e-9), ("in_huge.csv", 1e20)):
+                rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, scale * x))
+                Path(scaled).write_text("t,v\n" + rows)
     t = np.arange(200) / 64
     x = np.sin(2 * np.pi * 2 * t) + 0.5 * np.sin(2 * np.pi * 11 * t)
     rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, x))
@@ -141,8 +151,8 @@ def main() -> int:
         Path("texts").mkdir()
         for name, argv in TEXTS:
             (Path("texts") / name).write_text(_capture(cli_main, argv))
-        inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_tiny.csv", "ramp.csv",
-                  "settings.cfg"}
+        inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_tiny.csv", "in_nano.csv",
+                  "in_huge.csv", "ramp.csv", "settings.cfg"}
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             if path.as_posix() not in inputs:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
