@@ -33,7 +33,7 @@ from .eemd import EEMDSettings, eemd
 from .emd import EMDSettings, emd
 from .iterfilt import IFSettings, MaskLengthRule, iterative_filtering
 from . import specfreq
-from .specfreq import TimeFrequencyGrid, hilbert_spectrum
+from .specfreq import hilbert_spectrum
 from .svgplot import render_decomposition_svg, render_spectrum_svg
 
 
@@ -213,13 +213,9 @@ def _add_traces_and_spectrum(
     traces = [specfreq._ESTIMATORS[estimator](imf) for imf in d.imfs]
     for i, trace in enumerate(traces, start=1):
         plan.add_trace(out / f"iftrace_{i}.csv", trace)
-    if d.imfs:
-        grid = hilbert_spectrum(
-            d, nbins=nbins, estimator=estimator, weight=weight, traces=traces
-        )
-    else:
-        edges = specfreq._bin_edges(d.residual.dt, nbins)
-        grid = TimeFrequencyGrid.from_cells(d.residual.times, edges, [], [], [])
+    grid = hilbert_spectrum(
+        d, nbins=nbins, estimator=estimator, weight=weight, traces=traces
+    )
     plan.add_spectrum(out / "spectrum.csv", grid)
     if plot:
         plan.add_text(out / "spectrum.svg", lambda: render_spectrum_svg(grid))

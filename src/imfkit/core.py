@@ -2,7 +2,8 @@
 
 Everything downstream (EMD, EEMD, iterative filtering, spectral tools)
 works in terms of :class:`Signal`, :class:`Decomposition` and the helpers
-defined here. All functions are pure and safe for concurrent use.
+defined here. All functions but :func:`_forked_map`, which runs tasks on
+forked worker processes, are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -224,6 +225,48 @@ def _lapack():
     loader.exec_module(module)
     sys.modules[_FLAPACK] = module
     return module
+
+
+# The task of the running _forked_map; its forked workers inherit it.
+_forked_task = None
+
+
+def _call_forked_task(i: int):
+    return _forked_task(i)
+
+
+def _forked_map(task, count: int, workers: int):
+    """task(0), ..., task(count - 1), yielded in index order.
+
+    With ``min(workers, count)`` above 1 the calls run on that many worker
+    processes forked from this one, each index going to the first free
+    worker. The workers inherit ``task`` through a module global set
+    before they fork, so it may be any callable, a closure too: only
+    indices, results and exceptions are pickled. A task's exception is
+    raised here, with its type, once every worker has ended. Call it with
+    more than one worker only from a process that runs no other Python
+    threads. With one, the calls run in this process.
+    """
+    global _forked_task
+    workers = min(workers, count)
+    if workers <= 1:
+        yield from map(task, range(count))
+        return
+    # Imported here so that ``import imfkit`` loads no process machinery.
+    # Fork, not spawn or forkserver: forked workers inherit the task, the
+    # arrays it reads and numpy already imported.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _forked_task = task
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            # One index per call (the default chunksize), so the caller
+            # unpickles and holds one result at a time.
+            yield from pool.map(_call_forked_task, range(count))
+    finally:
+        _forked_task = None
 
 
 def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:

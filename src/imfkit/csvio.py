@@ -7,23 +7,20 @@ offending line only when a block fails, so every error still names the
 file and line.
 
 Writing: the files of a run (CSV tables, meta.txt and SVG plots) form one
-:class:`EmissionPlan`, a job per file, which runs the jobs on forked
-processes, one per CPU the process may use. A CSV job names its columns,
-and a column is formatted to text in the process that writes it, a block
-of rows at a time; the time column, which every CSV file of a run shares,
-is formatted once per process. Cells are shortest round-trip decimals,
-``repr(float(v))``, written by orjson's compiled formatter (see
-:func:`_format_column`), so the bytes do not depend on which process
-writes which file. orjson is imported here, and ``import imfkit`` does not
-load this module.
+:class:`EmissionPlan`, a job per file, which runs the jobs on a pool of
+forked worker processes, one per CPU the process may use. A CSV job names
+its columns, and a column is formatted to text in the process that
+writes it, a block of rows at a time; the time column, which every CSV
+file of a run shares, is formatted once per process. Cells are shortest
+round-trip decimals, ``repr(float(v))``, written by orjson's compiled
+formatter (see :func:`_format_column`), so the bytes do not depend on
+which process writes which file. orjson is imported here, and ``import
+imfkit`` does not load this module.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import signal
-import traceback
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -34,7 +31,7 @@ from typing import Callable
 import numpy as np
 import orjson
 
-from .core import Decomposition, ImfMeta, Signal, StopReason
+from .core import Decomposition, ImfMeta, Signal, StopReason, _forked_map
 from .specfreq import IFTrace, TimeFrequencyGrid
 
 
@@ -144,7 +141,7 @@ def _uniform_step(path, t: np.ndarray, linenos: np.ndarray) -> float:
     if bad.size:
         raise NonUniformSampling(
             f"{path}: line {linenos[bad[0] + 1]}: time step "
-            f"{steps[bad[0]]!r} deviates from dt={dt!r}"
+            f"{float(steps[bad[0]])!r} deviates from dt={dt!r}"
         )
     return dt
 
@@ -343,19 +340,14 @@ class EmissionPlan:
     """The output files of a run, one job each, written on every CPU.
 
     ``times`` is the time axis every CSV file of the run starts with. Add
-    the jobs, then :meth:`run` them: on ``min(jobs, CPUs this process may
-    run on)`` processes forked from this one, or in this process when that
-    is one. Jobs go out largest first, each to the worker with the fewest
-    cells so far, and each worker writes its files smallest first: text
-    files such as SVG plots, which need no time column, are then built
-    before the time column's text is held, which keeps a writer's memory
-    below this process's. Children leave with ``os._exit``, so they flush
-    none of this process's buffers and run none of its exit handlers; a
-    failed job's exception is raised here once every child has ended.
-
-    Writers are forked, as EEMD's workers are, so they share the run's
-    arrays instead of being sent them; run the plan from a process that
-    runs no other Python threads.
+    the jobs, then :meth:`run` them: largest first, by the table cells
+    each formats, through :func:`imfkit.core._forked_map` on ``min(jobs,
+    CPUs this process may run on)`` worker processes forked from this one,
+    each job going to the first free worker; with one CPU, in this process.
+    The workers inherit the jobs, and the run's arrays with them, instead
+    of being sent them, and send back only a failed job's exception, which
+    :meth:`run` raises. Run the plan from a process that runs no other
+    Python threads.
     """
 
     def __init__(self, times: np.ndarray):
@@ -403,75 +395,14 @@ class EmissionPlan:
     def add_text(self, path: Path, render: Callable[[], str]) -> None:
         """A file of ``render()``'s text, such as an SVG plot.
 
-        It formats no table cells, so it counts as no work when the jobs
-        are spread.
+        It formats no table cells, so it counts as no work: it goes out
+        after every table.
         """
         self._jobs.append(_Job(path, 0, lambda p: p.write_text(render())))
 
     def run(self) -> None:
         """Write every file."""
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        groups: list[list[_Job]] = [[] for _ in range(min(len(self._jobs), cpus))]
-        load = [0] * len(groups)
-        for job in sorted(self._jobs, key=lambda job: -job.cells):
-            w = load.index(min(load))
-            groups[w].insert(0, job)  # each worker writes its smallest files first
-            load[w] += job.cells
-        if len(groups) == 1:
-            for job in groups[0]:
-                job.write(job.path)
-        elif groups:
-            _run_forked(groups)
-
-
-def _run_child(jobs: list[_Job], report: int) -> None:
-    """Write ``jobs`` in a forked child, then leave it; never returns."""
-    status = 1
-    try:
-        for job in jobs:
-            job.write(job.path)
-        status = 0
-    except BaseException as exc:
-        try:
-            data = pickle.dumps(exc)
-        except Exception:
-            data = pickle.dumps(RuntimeError(traceback.format_exc()))
-        with os.fdopen(report, "wb") as fh:
-            fh.write(data)
-    finally:
-        os._exit(status)
-
-
-def _run_forked(groups: list[list[_Job]]) -> None:
-    """Each group of jobs on a forked child; raise the first failure here."""
-    children: list[tuple[int, int]] = []  # (pid, read end of its report pipe)
-    failures = []
-    try:
-        for jobs in groups:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                _run_child(jobs, w)
-            os.close(w)
-            children.append((pid, r))
-        while children:
-            pid, r = children[0]
-            with os.fdopen(r, "rb", closefd=False) as fh:
-                report = fh.read()  # ends when the child exits
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            os.close(r)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                failures.append(
-                    pickle.loads(report) if report
-                    else RuntimeError(f"writer process ended with status {code}")
-                )
-    finally:
-        for pid, r in children:  # only after an error in this process
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(r)
-    if failures:
-        raise failures[0]
+        jobs = sorted(self._jobs, key=lambda job: -job.cells)
+        for _ in _forked_map(lambda i: jobs[i].write(jobs[i].path), len(jobs), cpus):
+            pass

@@ -2,10 +2,11 @@
 
 Each ensemble member decomposes the signal plus an independent white
 Gaussian noise realization whose standard deviation is ``nstd`` times the
-signal's. Members may run on forked worker processes. Member IMFs are
-aligned to a fixed component count and averaged in member order, which
-makes the result independent of how many worker processes computed the
-members.
+signal's. Members may run on worker processes forked by
+:func:`imfkit.core._forked_map`, which inherit the member task instead of
+being sent it; only each member's arrays come back. Member IMFs are aligned
+to a fixed component count and averaged in member order, which makes the
+result independent of how many worker processes computed the members.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import (
     Signal,
     StopReason,
     ZeroVarianceSignal,
+    _forked_map,
     _lapack,
 )
 from .emd import EMDSettings, emd
@@ -82,10 +84,7 @@ def noise_member(s: Signal, cfg: EEMDSettings, k: int) -> Signal:
 def _member(
     s: Signal, cfg: EEMDSettings, num_imfs: int, k: int
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, StopReason]]]:
-    """Decompose member k and align it to num_imfs components.
-
-    Module-level, so that worker processes can unpickle it.
-    """
+    """Decompose member k and align it to num_imfs components."""
     member = noise_member(s, cfg, k)
     d = emd(member, cfg.emd)
     imfs = np.zeros((num_imfs, len(member)))
@@ -98,28 +97,6 @@ def _member(
         else:
             residual += imf.samples
     return imfs, residual, stats
-
-
-def _in_member_order(task, ne: int, workers: int):
-    """task(0), ..., task(ne - 1); on ``workers`` forked processes if more than 1."""
-    if workers == 1:
-        yield from map(task, range(ne))
-        return
-    # Imported here so that ``import imfkit`` loads no process machinery.
-    # Fork, not spawn or forkserver: forked workers inherit numpy already
-    # imported, where spawned ones would import it again. The spline's
-    # LAPACK wrapper, which the package loads on first use, is loaded here
-    # before the fork for the same reason: otherwise each worker would load
-    # scipy and the wrapper itself, ~20 ms each on a 2-core x86 host.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _lapack()
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        # One member per task (the default chunksize), so the caller
-        # unpickles and holds one member's arrays at a time.
-        yield from pool.map(task, range(ne))
 
 
 def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomposition:
@@ -142,8 +119,12 @@ def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomp
     # Zero noise: every member is identical, so the ensemble collapses to a
     # single EMD run of the input.
     ne = cfg.ne if _noise_scale(s, cfg) > 0.0 else 1
-    task = partial(_member, s, cfg, num_imfs)
-    results = _in_member_order(task, ne, min(threads, ne))
+    # The spline's LAPACK wrapper, which the first member would load, is
+    # loaded before any worker forks, so the workers inherit it instead of
+    # each loading scipy and the wrapper itself (~20 ms each on a 2-core x86
+    # host).
+    _lapack()
+    results = _forked_map(partial(_member, s, cfg, num_imfs), ne, threads)
     # Running sums in member order, started from member 0 itself rather than
     # from zeros (0.0 + -0.0 is 0.0): the same bits as np.mean over all
     # members stacked, without holding them.

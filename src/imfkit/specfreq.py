@@ -362,14 +362,13 @@ def hilbert_spectrum(
     [0, 1/(2*dt)] uniformly; out-of-range frequencies are clipped into the
     end bins so the deposited mass is conserved. The grid holds only the
     cells that received mass, so it takes memory in proportion to IMFs x
-    samples, whatever ``nbins`` is.
+    samples, whatever ``nbins`` is. A decomposition with no IMFs gives a
+    grid with no cells.
 
     ``traces``, when given, holds one already computed trace per IMF, in
     IMF order (for example the ``estimator``'s output); the estimator is
     then not run again.
     """
-    if len(d.imfs) == 0:
-        raise ValueError("decomposition has no IMFs")
     if nbins < 1:
         raise ValueError("nbins must be >= 1")
     if estimator not in _ESTIMATORS:
@@ -383,6 +382,8 @@ def hilbert_spectrum(
     elif len(traces) != len(d.imfs) or any(len(t.frequency) != n for t in traces):
         raise ValueError("traces must hold one trace per IMF, each of the IMF length")
     edges = _bin_edges(ref.dt, nbins)
+    if not d.imfs:
+        return TimeFrequencyGrid.from_cells(ref.times, edges, [], [], [])
     fmax = edges[-1]
     keys, masses = [], []  # per IMF: row * nbins + bin and mass of each valid sample
     for trace in traces:

@@ -62,7 +62,9 @@ class TestIngest:
         p = write(tmp_path / "a.csv", "\n".join(rows) + "\n")
         with pytest.raises(NonUniformSampling) as err:
             ingest_csv(p)
-        assert "line 7" in str(err.value)
+        assert str(err.value) == (
+            f"{p}: line 7: time step 0.29999999999999993 deviates from dt=0.1"
+        )
 
     def test_parse_error_names_line(self, tmp_path):
         p = write(tmp_path / "a.csv", "1\n2\nbogus\n4\n")

@@ -61,49 +61,60 @@ def file_bytes(out):
 @pytest.mark.parametrize("method", sorted(RUNS))
 def test_one_and_two_writers_write_the_same_bytes(monkeypatch, tmp_path, long_csv, method):
     outputs = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         out = tmp_path / f"cpus{cpus}"
         argv = ["decompose", *RUNS[method], "--input", str(long_csv), "--out", str(out),
                 "--plot"]
         code, forks = run_on_cpus(monkeypatch, cpus, argv)
-        assert (code, forks) == (0, 0 if cpus == 1 else 2)
         outputs[cpus] = file_bytes(out)
+        jobs = len(outputs[cpus])  # one job per file written
+        assert (code, forks) == (0, 0 if cpus == 1 else min(cpus, jobs))
     assert "iftrace_4.csv" in outputs[1] and "spectrum.svg" in outputs[1]
-    assert outputs[1] == outputs[2]
+    assert outputs[1] == outputs[2] == outputs[3]
 
 
 def test_spectrum_command_on_two_writers(monkeypatch, tmp_path, long_csv):
     out = tmp_path / "run"
     argv = ["decompose", *RUNS["if"], "--input", str(long_csv), "--out", str(out)]
     assert run_on_cpus(monkeypatch, 1, argv) == (0, 0)
+    jobs = 4 + 2  # iftrace_1..4.csv, spectrum.csv and spectrum.svg
     written = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         argv = ["spectrum", "--in", str(out), "--bins", "40", "--weight", "energy",
                 "--plot"]
-        assert run_on_cpus(monkeypatch, cpus, argv) == (0, 0 if cpus == 1 else 2)
+        forks = 0 if cpus == 1 else min(cpus, jobs)
+        assert run_on_cpus(monkeypatch, cpus, argv) == (0, forks)
         written[cpus] = file_bytes(out)
-    assert written[1] == written[2]
+    assert written[1] == written[2] == written[3]
 
 
-def test_jobs_go_to_the_least_loaded_writer(monkeypatch, tmp_path):
-    order = []
+def test_jobs_go_out_largest_first(monkeypatch, tmp_path):
+    written = []
 
     def job(name, cells):
-        return csvio._Job(tmp_path / name, cells, lambda p: order.append(p.name))
+        return csvio._Job(tmp_path / name, cells, lambda p: written.append(p.name))
 
     plan = csvio.EmissionPlan(np.arange(4.0))
     plan._jobs = [job("a", 5), job("b", 9), job("c", 4), job("d", 0), job("e", 3)]
-    groups = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(csvio, "_run_forked", groups.extend)
-    plan.run()
-    # By size: b to the first writer, a and c to the second, e to the first
-    # (the lower index on a tie), d to the second. Each writer then writes
-    # its smallest file first.
-    assert [[j.path.name for j in g] for g in groups] == [["e", "b"], ["d", "c", "a"]]
+    calls = []
+
+    def in_order(task, count, workers):
+        calls.append((count, workers))
+        return map(task, range(count))
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        m.setattr(csvio, "_forked_map", in_order)
+        plan.run()
+    # Index i of the map is the i-th largest job by table cells.
+    assert calls == [(5, 2)]
+    assert written == ["b", "a", "c", "e", "d"]
+    # One CPU: the real map writes them in that order in this process (a
+    # forked writer would not append to this process's list).
+    written.clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     plan.run()
-    assert order == ["d", "e", "c", "a", "b"]
+    assert written == ["b", "a", "c", "e", "d"]
 
 
 def run_python(code, timeout=120):

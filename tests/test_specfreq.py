@@ -206,10 +206,17 @@ class TestHilbertSpectrum:
         # amplitude ~2 per sample, energy ~4 per sample
         assert eng == pytest.approx(2.0 * amp, rel=0.05)
 
-    def test_requires_imfs(self):
-        d = Decomposition(imfs=(), residual=Signal(np.zeros(16)), meta=())
+    def test_no_imfs_give_a_grid_with_no_cells(self):
+        residual = Signal(np.arange(16.0), dt=0.25, t0=1.0)
+        d = Decomposition(imfs=(), residual=residual, meta=())
+        for traces in (None, []):
+            grid = hilbert_spectrum(d, nbins=8, traces=traces)
+            assert np.array_equal(grid.times, residual.times)
+            assert np.array_equal(grid.freqs, np.linspace(0.0, 2.0, 9))
+            assert grid.rows.size == grid.bins.size == grid.values.size == 0
+            assert grid.amplitude.shape == (16, 8) and not grid.amplitude.any()
         with pytest.raises(ValueError):
-            hilbert_spectrum(d, nbins=8)
+            hilbert_spectrum(d, nbins=0)
 
     def test_estimator_selection(self):
         n = 2048

@@ -37,8 +37,9 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 # both kinds of length. "in_9k.csv" has 9000 samples, more than two blocks
 # of 4096 rows, so "if-9k" covers the block seams of parsing and writing,
 # and on a host with more than one CPU, files written by several processes.
-# "eemd" and "eemd-1t" differ only in --threads, so every file of theirs but
-# meta.txt (its "threads =" line) must hash the same. "emd" (reflection),
+# "eemd", "eemd-1t" and "eemd-3t" differ only in --threads, so every file of
+# theirs but meta.txt (its "threads =" line) must hash the same; "eemd-3t"
+# runs 6 members on 3 workers, more than a 2-CPU host has. "emd" (reflection),
 # "emd-constant" and "emd-deriv" (periodic) cover the three envelope
 # boundary modes. "if-bins1" draws a one-bin heat map; "emd-tiny" runs on
 # the 200 samples of "in_tiny.csv", so its heat map is drawn without pooling.
@@ -56,6 +57,7 @@ RUNS = [
                    "--boundary", "periodic"]),
     ("eemd", [*EEMD, "--threads", "2"]),
     ("eemd-1t", [*EEMD, "--threads", "1"]),
+    ("eemd-3t", [*EEMD, "--threads", "3"]),
     ("eemd-deriv", ["decompose", "--method", "eemd", "--input", "in_short.csv",
                     "--ne", "4", "--nstd", "0.1", "--num-imfs", "4",
                     "--estimator", "derivative", "--spectrum-bins", "40"]),
