@@ -43,8 +43,10 @@ signal = Signal(np.sin(2 * np.pi * 2 * t) + np.sin(2 * np.pi * 40 * t), dt=1.0 /
 d = iterative_filtering(
     signal, IFSettings(n_imfs=4, xi=3.0, alpha=MaskLengthRule.AVE)
 )
-grid = hilbert_spectrum(d, nbins=128)
-ridge = grid.freqs[np.argmax(grid.amplitude.sum(axis=0))]
+nbins = 128
+grid = hilbert_spectrum(d, nbins=nbins)
+# The grid keeps only its nonzero cells; sum them per frequency bin.
+ridge = grid.freqs[np.argmax(np.bincount(grid.bins, grid.values, minlength=nbins))]
 print(f"strongest ridge starts at {ridge:.1f} cycles/unit")
 
 with open("two_tone_spectrum.svg", "w") as fh:

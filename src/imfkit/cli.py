@@ -246,7 +246,7 @@ def run(args: argparse.Namespace, settings) -> int:
     plan = EmissionPlan(s.times)
     plan.add_meta(out / "meta.txt", _meta_pairs(args, settings, d, s))
     plan.add_imfs(out / "imfs.csv", d)
-    if len(s) >= 8:
+    if len(s) >= specfreq.MIN_IF_SAMPLES:
         _add_traces_and_spectrum(
             plan, out, d, args.estimator, args.spectrum_bins, args.plot
         )
@@ -261,6 +261,9 @@ def run_spectrum(args: argparse.Namespace) -> int:
     _require_positive("--bins", args.bins)
     out = Path(args.in_dir)
     _, d = read_imfs_csv(out / "imfs.csv")
+    if (n := len(d.residual)) < specfreq.MIN_IF_SAMPLES:
+        raise ValueError(f"{out / 'imfs.csv'}: {n} samples; instantaneous frequency "
+                         f"needs at least {specfreq.MIN_IF_SAMPLES}")
     plan = EmissionPlan(d.residual.times)
     _add_traces_and_spectrum(
         plan, out, d, args.estimator, args.bins, args.plot, weight=args.weight

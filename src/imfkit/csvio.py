@@ -8,8 +8,8 @@ file and line.
 
 Writing: the files of a run (CSV tables, meta.txt and SVG plots) form one
 :class:`EmissionPlan`, a job per file, which runs the jobs on a pool of
-forked worker processes, one per CPU the process may use. A CSV job names
-its columns, and a column is formatted to text in the process that
+forked worker processes, one per CPU the process may use. A CSV table is
+a dict of 1-D arrays, its columns, formatted to text in the process that
 writes it, a block of rows at a time; the time column, which every CSV
 file of a run shares, is formatted once per process. Cells are shortest
 round-trip decimals, ``repr(float(v))``, written by orjson's compiled
@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable
@@ -147,7 +146,7 @@ def _uniform_step(path, t: np.ndarray, linenos: np.ndarray) -> float:
 
 
 def _resolve_column(
-    selector: str | None, header: list[str] | None, ncols: int, default: int
+    path, selector: str | None, header: list[str] | None, ncols: int, default: int
 ) -> int:
     if selector is None:
         return default
@@ -155,10 +154,10 @@ def _resolve_column(
         idx = int(selector)
     except ValueError:
         if header is None or selector not in header:
-            raise ParseError(f"unknown column {selector!r}") from None
+            raise ParseError(f"{path}: unknown column {selector!r}") from None
         idx = header.index(selector)
     if not (0 <= idx < ncols):
-        raise ParseError(f"column index {idx} out of range (file has {ncols})")
+        raise ParseError(f"{path}: column index {idx} out of range (file has {ncols})")
     return idx
 
 
@@ -177,8 +176,8 @@ def ingest_csv(
     header, data, linenos = _read_table(path)
     ncols = data.shape[1]
     use_time = ncols >= 2 and (time_col is None or time_col.lower() != "none")
-    t_idx = _resolve_column(time_col, header, ncols, 0) if use_time else None
-    v_idx = _resolve_column(value_col, header, ncols, 1 if use_time else 0)
+    t_idx = _resolve_column(path, time_col, header, ncols, 0) if use_time else None
+    v_idx = _resolve_column(path, value_col, header, ncols, 1 if use_time else 0)
     _check_finite(path, data, linenos, [v_idx] if t_idx is None else [t_idx, v_idx])
     values = data[:, v_idx]
     if t_idx is None:
@@ -221,10 +220,6 @@ def read_meta(path: str | Path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # Writing
 
-# The text of a column's cells in a block of rows.
-Column = Callable[[slice], list[str]]
-
-
 def _format_column(values) -> list[str]:
     """``repr(float(v))`` of every value of a 1-D array, as float64.
 
@@ -246,29 +241,25 @@ def _format_column(values) -> list[str]:
     return text
 
 
-def _floats(values: np.ndarray) -> Column:
-    return lambda rows: _format_column(values[rows])
-
-
-def _write_csv(path: Path, columns: dict[str, Column], n: int) -> None:
-    """A header line of the column names, then n rows of their cells."""
+def _write_csv(path, time_text: list[str], columns: dict[str, np.ndarray]) -> None:
+    """A time column of ``time_text``'s cells, then a column per 1-D array."""
     with path.open("w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for lo in range(0, n, _ROW_BLOCK):
-            cells = [column(slice(lo, lo + _ROW_BLOCK)) for column in columns.values()]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        fh.write(",".join(["time", *columns]) + "\n")
+        for lo in range(0, len(time_text), _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            cells = [_format_column(column[rows]) for column in columns.values()]
+            fh.write("\n".join(map(",".join, zip(time_text[rows], *cells))) + "\n")
 
 
-def _component_columns(d: Decomposition) -> dict[str, Column]:
-    columns = {f"imf{i}": _floats(imf.samples) for i, imf in enumerate(d.imfs, start=1)}
-    columns["residual"] = _floats(d.residual.samples)
+def _component_columns(d: Decomposition) -> dict[str, np.ndarray]:
+    columns = {f"imf{i}": imf.samples for i, imf in enumerate(d.imfs, start=1)}
+    columns["residual"] = d.residual.samples
     return columns
 
 
 def write_imfs_csv(path: str | Path, source: Signal, d: Decomposition) -> None:
     """time, imf1..imfK, residual, as shortest round-trip decimals."""
-    columns = {"time": _floats(source.times), **_component_columns(d)}
-    _write_csv(Path(path), columns, len(source))
+    _write_csv(Path(path), _format_column(source.times), _component_columns(d))
 
 
 def _write_spectrum_csv(
@@ -332,56 +323,54 @@ def _write_spectrum_csv(
 @dataclass(frozen=True)
 class _Job:
     path: Path
-    cells: int  # numbers the job formats: its share of the work
+    cells: int  # table cells the job writes: its share of the work
     write: Callable[[Path], None]
 
 
 class EmissionPlan:
     """The output files of a run, one job each, written on every CPU.
 
-    ``times`` is the time axis every CSV file of the run starts with. Add
-    the jobs, then :meth:`run` them: largest first, by the table cells
-    each formats, through :func:`imfkit.core._forked_map` on ``min(jobs,
-    CPUs this process may run on)`` worker processes forked from this one,
-    each job going to the first free worker; with one CPU, in this process.
-    The workers inherit the jobs, and the run's arrays with them, instead
-    of being sent them, and send back only a failed job's exception, which
-    :meth:`run` raises. Run the plan from a process that runs no other
-    Python threads.
+    ``times`` is the time axis every CSV file of the run starts with; its
+    text is formatted once in each process that writes a table. A table's
+    columns are 1-D arrays, and its job's weight is the cells it writes:
+    rows x (columns + the time column). Add the jobs, then :meth:`run`
+    them: largest first, by weight, through :func:`imfkit.core._forked_map`
+    on ``min(jobs, CPUs this process may run on)`` worker processes forked
+    from this one, each job going to the first free worker; with one CPU,
+    in this process. The workers inherit the jobs, and the run's arrays
+    with them, instead of being sent them, and send back only a failed
+    job's exception, which :meth:`run` raises. Run the plan from a process
+    that runs no other Python threads.
     """
 
     def __init__(self, times: np.ndarray):
         self._times = times
-        self._time_text: list[str] | None = None
+        self._text: list[str] | None = None
         self._jobs: list[_Job] = []
 
-    def _time(self, rows: slice) -> list[str]:
+    def _time_text(self) -> list[str]:
         """The time column, formatted on first use in each process."""
-        if self._time_text is None:
-            self._time_text = _format_column(self._times)
-        return self._time_text[rows]
+        if self._text is None:
+            self._text = _format_column(self._times)
+        return self._text
 
-    def _add_csv(self, path: Path, columns: dict[str, Column], formatted: int) -> None:
-        n = self._times.size
-        write = partial(_write_csv, columns={"time": self._time, **columns}, n=n)
-        self._jobs.append(_Job(path, n * formatted, write))
+    def _add_csv(self, path: Path, columns: dict[str, np.ndarray]) -> None:
+        write = lambda p: _write_csv(p, self._time_text(), columns)
+        self._jobs.append(_Job(path, self._times.size * (len(columns) + 1), write))
 
     def add_imfs(self, path: Path, d: Decomposition) -> None:
         """imfs.csv: time, imf1..imfK, residual."""
-        self._add_csv(path, _component_columns(d), len(d.imfs) + 2)
+        self._add_csv(path, _component_columns(d))
 
     def add_trace(self, path: Path, trace: IFTrace) -> None:
         """iftrace_k.csv: time, amplitude, frequency, valid."""
-        columns = {
-            "amplitude": _floats(trace.amplitude.samples),
-            "frequency": _floats(trace.frequency.samples),
-            "valid": _floats(trace.valid_mask),
-        }
-        self._add_csv(path, columns, 3)
+        self._add_csv(path, {"amplitude": trace.amplitude.samples,
+                             "frequency": trace.frequency.samples,
+                             "valid": trace.valid_mask})
 
     def add_spectrum(self, path: Path, grid: TimeFrequencyGrid) -> None:
         """spectrum.csv: time, then the grid's row over the bin centers."""
-        write = lambda p: _write_spectrum_csv(p, grid, self._time(slice(None)))
+        write = lambda p: _write_spectrum_csv(p, grid, self._time_text())
         self._jobs.append(_Job(path, self._times.size + grid.values.size, write))
 
     def add_meta(self, path: Path, pairs: list[tuple[str, object]]) -> None:

@@ -18,6 +18,8 @@ from .core import Decomposition, Signal, _extrema_indices, _natural_spline
 
 DEFAULT_BOUNDARY_FRACTION = 0.05
 DEFAULT_AMPLITUDE_FLOOR = 1e-8
+# The fewest samples either estimator traces.
+MIN_IF_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,10 @@ def hilbert_if(
     periodic-seam leakage of the plain FFT construction; pass
     ``boundary_stabilize=False`` for the raw transform.
     """
-    if len(s) < 8:
-        raise ValueError("instantaneous frequency needs at least 8 samples")
+    if len(s) < MIN_IF_SAMPLES:
+        raise ValueError(
+            f"instantaneous frequency needs at least {MIN_IF_SAMPLES} samples"
+        )
     if boundary_stabilize:
         z = _stabilized_analytic_arr(s.samples)
     else:
@@ -305,8 +309,10 @@ def derivative_if(
     so only samples where |s| reaches at least half the local envelope
     anchor the estimate; there the envelope-induced error is second order.
     """
-    if len(s) < 8:
-        raise ValueError("instantaneous frequency needs at least 8 samples")
+    if len(s) < MIN_IF_SAMPLES:
+        raise ValueError(
+            f"instantaneous frequency needs at least {MIN_IF_SAMPLES} samples"
+        )
     x = s.samples
     n = x.size
     peak = float(np.abs(x).max())

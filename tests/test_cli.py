@@ -20,6 +20,7 @@ from imfkit.cli import (
     write_imfs_csv,
 )
 from imfkit import Signal, iterative_filtering, IFSettings
+from imfkit import specfreq
 
 
 def write(path: Path, text: str) -> Path:
@@ -346,3 +347,42 @@ class TestInfoCommand:
         assert float(fields["dt"]) == pytest.approx(1 / 1024)
         assert int(fields["extrema"]) > 0
         assert float(fields["std"]) > 0
+
+
+@pytest.mark.parametrize("selector, message", [
+    ({"value_col": "x"}, "unknown column 'x'"),
+    ({"time_col": "5"}, "column index 5 out of range (file has 2)"),
+])
+def test_column_selector_error_names_the_file(tmp_path, selector, message):
+    p = write(tmp_path / "a.csv", "t,v\n0,1\n1,2\n2,3\n")
+    with pytest.raises(ParseError) as err:
+        ingest_csv(p, **selector)
+    assert str(err.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_runs_below_the_trace_minimum(tmp_path, capsys, monkeypatch, n):
+    """decompose skips the traces below 8 samples; spectrum names the file."""
+    rows = "".join(f"{0.1 * i!r},{(-1.0) ** i + 0.1 * i!r}\n" for i in range(n))
+    inp = write(tmp_path / "in.csv", "t,v\n" + rows)
+    out = tmp_path / "run"
+    assert main(["decompose", "--method", "emd", "--input", str(inp),
+                 "--out", str(out)]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    traced = []
+    for name, estimator in list(specfreq._ESTIMATORS.items()):
+        monkeypatch.setitem(specfreq._ESTIMATORS, name,
+                            lambda s, f=estimator: traced.append(s) or f(s))
+    capsys.readouterr()
+    code = main(["spectrum", "--in", str(out), "--bins", "4"])
+    if n < specfreq.MIN_IF_SAMPLES:
+        assert written == ["imfs.csv", "meta.txt"]
+        assert code == 1 and not traced
+        assert capsys.readouterr().err == (
+            f"imfkit: error: {out / 'imfs.csv'}: {n} samples; "
+            "instantaneous frequency needs at least 8\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == written
+    else:
+        assert "spectrum.csv" in written and "iftrace_1.csv" in written
+        assert code == 0 and traced

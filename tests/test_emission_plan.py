@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from imfkit import csvio
+from imfkit import EMDSettings, Signal, emd, hilbert_if
 from imfkit.cli import main
 
 N = 9000  # more than two row blocks, so files are cut at block seams
@@ -188,3 +189,23 @@ def test_writers_are_not_the_peak_of_a_long_run(tmp_path):
     code, own, writers = map(int, stdout.split())
     assert code == 0, stderr
     assert 0 < writers <= own, f"writers {writers} KiB, parent {own} KiB"
+
+
+def test_table_jobs_weigh_rows_times_columns_and_time(monkeypatch, tmp_path):
+    n = 600
+    t = np.arange(n) / 512
+    s = Signal(np.sin(2 * np.pi * 3 * t) + np.sin(2 * np.pi * 60 * t), dt=1 / 512)
+    d = emd(s, EMDSettings(max_imfs=3))
+    plan = csvio.EmissionPlan(s.times)
+    plan.add_imfs(tmp_path / "imfs.csv", d)
+    for k, imf in enumerate(d.imfs, start=1):
+        plan.add_trace(tmp_path / f"iftrace_{k}.csv", hilbert_if(imf))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    plan.run()
+    cells = {job.path.name: job.cells for job in plan._jobs}
+    expected = {"imfs.csv": n * (len(d.imfs) + 2)}  # time, the IMFs, residual
+    expected.update((f"iftrace_{k}.csv", n * 4) for k in range(1, len(d.imfs) + 1))
+    assert cells == expected
+    for name, weight in cells.items():  # every cell written, the time column too
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        assert len(rows) * len(header.split(",")) == weight

@@ -11,14 +11,21 @@ in every checkout. ``decompose --help`` and a few error messages are
 captured into files of their own. It prints one ``sha256  relpath`` line
 per file, sorted by path. Run it against two source trees and ``diff`` the
 outputs to check that a change keeps the output bytes.
+
+``tests/data/output_hashes.txt`` holds this listing under a header of
+``# name version`` lines from :func:`versions`, the libraries and machine
+the hashes depend on; ``tests/test_output_hashes.py`` reruns the script and
+compares, and rewrites that file when run as a script.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -91,7 +98,8 @@ RUNS = [
     ("emd-huge", ["decompose", "--method", "emd", "--input", "in_huge.csv"]),
 ]
 
-# Commands whose stdout/stderr text is part of the compared output.
+# Commands whose stdout/stderr text is part of the compared output. "short"
+# holds an imfs.csv of 7 samples, too few to trace.
 TEXTS = [
     ("decompose-help.txt", ["decompose", "--help"]),
     ("error-foreign-flag.txt", ["decompose", "--method", "emd", "--input", "in_short.csv",
@@ -100,7 +108,18 @@ TEXTS = [
                          "--out", "x", "--alpha", "bogus"]),
     ("error-extension.txt", ["decompose", "--method", "if", "--input", "in_short.csv",
                              "--out", "x", "--extension", "bogus"]),
+    ("error-column.txt", ["info", "--input", "in_short.csv", "--value-col", "x"]),
+    ("error-short-spectrum.txt", ["spectrum", "--in", "short", "--bins", "4"]),
 ]
+
+
+def versions() -> dict[str, str]:
+    """What the hashes depend on besides imfkit: FFT, CSV cell and float text."""
+    found = {"python": platform.python_version()}
+    for package in ("numpy", "scipy", "orjson"):
+        found[package] = importlib.metadata.version(package)
+    found["machine"] = platform.machine()
+    return found
 
 
 def _write_inputs() -> None:
@@ -119,6 +138,9 @@ def _write_inputs() -> None:
     x = np.sin(2 * np.pi * 2 * t) + 0.5 * np.sin(2 * np.pi * 11 * t)
     rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(t, x))
     Path("in_tiny.csv").write_text("t,v\n" + rows)
+    Path("short").mkdir()
+    rows = "".join(f"{0.5 * i!r},{(-1.0) ** i!r},0.25\n" for i in range(7))
+    Path("short/imfs.csv").write_text("time,imf1,residual\n" + rows)
     Path("ramp.csv").write_text("".join(f"{0.5 * i!r}\n" for i in range(40)))
     Path("settings.cfg").write_text(SETTINGS)
 
@@ -154,7 +176,7 @@ def main() -> int:
         for name, argv in TEXTS:
             (Path("texts") / name).write_text(_capture(cli_main, argv))
         inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_tiny.csv", "in_nano.csv",
-                  "in_huge.csv", "ramp.csv", "settings.cfg"}
+                  "in_huge.csv", "ramp.csv", "settings.cfg", "short/imfs.csv"}
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             if path.as_posix() not in inputs:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
