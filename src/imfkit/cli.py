@@ -8,17 +8,20 @@ Subcommands::
 
 ``decompose`` writes imfs.csv, meta.txt, one iftrace_k.csv per IMF,
 spectrum.csv and (with --plot) decomposition.svg / spectrum.svg into the
-output directory. A run computes the decomposition, the IF traces and the
-spectrum grid, then hands one job per file to an
-:class:`imfkit.csvio.EmissionPlan`, which writes them on every CPU the
-process may use. Numbers are serialized as shortest round-trip decimals,
-so rerunning an identical configuration reproduces the files byte for
-byte, whatever the number of CPUs.
+output directory; ``spectrum`` rewrites the traces, spectrum.csv and (with
+--plot) spectrum.svg. Each first removes the files of those names that an
+earlier run left there and it will not rewrite. A run computes the
+decomposition, the IF traces and the spectrum grid, then hands one job per
+file to an :class:`imfkit.csvio.EmissionPlan`, which writes them on every
+CPU the process may use. Numbers are serialized as shortest round-trip
+decimals, so rerunning an identical configuration reproduces the files
+byte for byte, whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -221,6 +224,28 @@ def _add_traces_and_spectrum(
         plan.add_text(out / "spectrum.svg", lambda: render_spectrum_svg(grid))
 
 
+# Output names a run may skip: an IF trace per IMF, the spectrum, the plots.
+_TRACE_NAME = re.compile(r"iftrace_[1-9][0-9]*\.csv")
+_DECOMPOSE_EXTRAS = ("spectrum.csv", "spectrum.svg", "decomposition.svg")
+_SPECTRUM_EXTRAS = ("spectrum.svg",)
+
+
+def _remove_stale(out: Path, plan: EmissionPlan, extras: tuple[str, ...]) -> None:
+    """Remove the files in ``out`` that an earlier run wrote and ``plan``
+    will not rewrite: those named iftrace_<k>.csv or in ``extras``.
+
+    Only those exact names are matched; every other file and every
+    directory is left alone.
+    """
+    rewritten = {path.name for path in plan.paths()}
+    for path in out.iterdir():
+        name = path.name
+        if name in rewritten or path.is_dir():
+            continue
+        if name in extras or _TRACE_NAME.fullmatch(name):
+            path.unlink()
+
+
 def _require_positive(flag: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{flag} must be >= 1 (got {value})")
@@ -252,6 +277,7 @@ def run(args: argparse.Namespace, settings) -> int:
         )
     if args.plot:
         plan.add_text(out / "decomposition.svg", lambda: render_decomposition_svg(s, d))
+    _remove_stale(out, plan, _DECOMPOSE_EXTRAS)
     plan.run()
     return 0
 
@@ -268,6 +294,7 @@ def run_spectrum(args: argparse.Namespace) -> int:
     _add_traces_and_spectrum(
         plan, out, d, args.estimator, args.bins, args.plot, weight=args.weight
     )
+    _remove_stale(out, plan, _SPECTRUM_EXTRAS)
     plan.run()
     return 0
 

@@ -277,7 +277,9 @@ def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
     the same slope-form tridiagonal system, solved by the LAPACK ``dgtsv``
     that ``solve_banded((1, 1), ...)`` calls (it pivots where a knot gap
     more than doubles), the same Hermite coefficients and the same
-    power-sum evaluation order. scipy's end rows also add
+    power-sum evaluation order. The power sum is evaluated in place, in
+    the per-sample coefficient rows, so it allocates no temporaries; the
+    result is a row of that coefficient array. scipy's end rows also add
     ``-/+ 0.5 * 0.0 * dx**2``, which can change only the sign of a zero in
     the solution; no sample shows it, as their sum starts from +0.0.
 
@@ -323,7 +325,17 @@ def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
     c0, c1, c2, c3, start = np.repeat(coef, np.diff(edges), axis=1)
     u = np.arange(n) - start
     uu = u * u
-    return ((0.0 + c3) + c2 * u) + c1 * uu + c0 * (uu * u)
+    # scipy's ((0.0 + c3) + c2*u) + c1*u**2 + c0*u**3, step by step in the
+    # rows np.repeat returned: the same operations in the same order.
+    c3 += 0.0
+    c2 *= u
+    c3 += c2
+    c1 *= uu
+    c3 += c1
+    uu *= u
+    c0 *= uu
+    c3 += c0
+    return c3
 
 
 def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:

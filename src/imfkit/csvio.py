@@ -389,6 +389,10 @@ class EmissionPlan:
         """
         self._jobs.append(_Job(path, 0, lambda p: p.write_text(render())))
 
+    def paths(self) -> list[Path]:
+        """The files the plan writes, in the order their jobs were added."""
+        return [job.path for job in self._jobs]
+
     def run(self) -> None:
         """Write every file."""
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

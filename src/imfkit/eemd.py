@@ -4,9 +4,11 @@ Each ensemble member decomposes the signal plus an independent white
 Gaussian noise realization whose standard deviation is ``nstd`` times the
 signal's. Members may run on worker processes forked by
 :func:`imfkit.core._forked_map`, which inherit the member task instead of
-being sent it; only each member's arrays come back. Member IMFs are aligned
-to a fixed component count and averaged in member order, which makes the
-result independent of how many worker processes computed the members.
+being sent it; only each member's IMFs and residual come back, without
+the zero rows of a member that found fewer IMFs than the fixed component
+count. Member IMFs are aligned to that count and averaged in member order,
+which makes the result independent of how many worker processes computed
+the members.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ def _member(
     return imfs, residual, stats
 
 
+def _member_rows(
+    s: Signal, cfg: EEMDSettings, num_imfs: int, k: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, StopReason]]]:
+    """:func:`_member` without the zero rows past its ``len(stats)`` IMFs."""
+    imfs, residual, stats = _member(s, cfg, num_imfs, k)
+    return imfs[: len(stats)], residual, stats
+
+
 def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomposition:
     """Ensemble-averaged EMD decomposition.
 
@@ -124,14 +134,18 @@ def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomp
     # each loading scipy and the wrapper itself (~20 ms each on a 2-core x86
     # host).
     _lapack()
-    results = _forked_map(partial(_member, s, cfg, num_imfs), ne, threads)
-    # Running sums in member order, started from member 0 itself rather than
-    # from zeros (0.0 + -0.0 is 0.0): the same bits as np.mean over all
-    # members stacked, without holding them.
-    imfs, residual, stats = next(results)
+    results = _forked_map(partial(_member_rows, s, cfg, num_imfs), ne, threads)
+    # Running sums of the zero-padded members in member order, started from
+    # member 0's arrays, without holding the members. A member sends only
+    # the IMF rows it found; adding 0.0 to the rows it lacks stands in for
+    # its zero rows, which turn a -0.0 sum into 0.0.
+    rows, residual, stats = next(results)
+    imfs = np.zeros((num_imfs, len(s)))
+    imfs[: len(rows)] = rows
     member_stats = [stats]
-    for member_imfs, member_residual, stats in results:
-        imfs += member_imfs
+    for rows, member_residual, stats in results:
+        imfs[: len(rows)] += rows
+        imfs[len(rows) :] += 0.0
         residual += member_residual
         member_stats.append(stats)
     imfs /= ne

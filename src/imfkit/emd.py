@@ -86,16 +86,19 @@ def _envelope_knots(
 def _envelope_mean_arr(
     x: np.ndarray,
     boundary: BoundaryExtension = BoundaryExtension.REFLECTION,
+    extrema: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    idx_max, idx_min = _extrema_indices(x)
+    """Envelope mean of x; ``extrema``, if given, are x's (idx_max, idx_min)."""
+    idx_max, idx_min = extrema if extrema is not None else _extrema_indices(x)
     if idx_max.size == 0 or idx_min.size == 0:
         raise TooFewExtrema(
             f"envelopes need at least one maximum and one minimum, "
             f"found {idx_max.size} maxima / {idx_min.size} minima"
         )
-    upper = _natural_spline(*_envelope_knots(idx_max, x, boundary), x.size)
-    lower = _natural_spline(*_envelope_knots(idx_min, x, boundary), x.size)
-    return 0.5 * (upper + lower)
+    mean = _natural_spline(*_envelope_knots(idx_max, x, boundary), x.size)
+    mean += _natural_spline(*_envelope_knots(idx_min, x, boundary), x.size)
+    mean *= 0.5
+    return mean
 
 
 def envelope_mean(s: Signal, boundary: BoundaryExtension | None = None) -> Signal:
@@ -121,14 +124,22 @@ def sift_once(s: Signal, boundary: BoundaryExtension | None = None) -> Signal:
 
 
 def _extract_imf_arr(
-    x: np.ndarray, cfg: EMDSettings
+    x: np.ndarray,
+    cfg: EMDSettings,
+    extrema: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, int, StopReason]:
+    """Sift one IMF out of x; ``extrema``, if given, are x's (idx_max, idx_min)."""
     cur, exp = _unit_scaled(x)  # keeps the stopping ratio scale-invariant
+    # The first sift reuses x's extrema for cur only if the scaling was exact
+    # (no sample rounded into the subnormal range): then it kept every order
+    # and tie between samples.
+    if extrema is not None and not np.array_equal(np.ldexp(cur, exp), x):
+        extrema = None
     iterations = 0
     reason = StopReason.MAX_INNER_REACHED
     for it in range(1, cfg.max_inner + 1):
         try:
-            mean = _envelope_mean_arr(cur, cfg.boundary)
+            mean = _envelope_mean_arr(cur, cfg.boundary, extrema)
         except TooFewExtrema:
             if it == 1:
                 raise
@@ -138,6 +149,7 @@ def _extract_imf_arr(
         denom = _sum_squares(cur)
         num = _sum_squares(mean)
         cur -= mean
+        extrema = None
         iterations = it
         if denom == 0.0 or num < cfg.sd_threshold * denom:
             reason = StopReason.DELTA_REACHED
@@ -180,7 +192,7 @@ def emd(s: Signal, cfg: EMDSettings | None = None) -> Decomposition:
         count = idx_max.size + idx_min.size
         if count < cfg.min_extrema or idx_max.size < 2 or idx_min.size < 2:
             break
-        imf, iterations, reason = _extract_imf_arr(x, cfg)
+        imf, iterations, reason = _extract_imf_arr(x, cfg, (idx_max, idx_min))
         imfs.append(imf)
         meta.append(ImfMeta(inner_iterations=iterations, stop_reason=reason))
         x = x - imf

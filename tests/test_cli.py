@@ -386,3 +386,49 @@ def test_runs_below_the_trace_minimum(tmp_path, capsys, monkeypatch, n):
     else:
         assert "spectrum.csv" in written and "iftrace_1.csv" in written
         assert code == 0 and traced
+
+
+def test_reruns_into_one_directory_leave_no_earlier_output(two_tone_csv, tmp_path):
+    """Each run removes the output names it does not rewrite, and only those."""
+    out = tmp_path / "run"
+    out.mkdir()
+    others = ["notes.txt", "iftrace_03.csv", "iftrace_x.csv", "iftrace_5.csv.bak",
+              "spectrum.csv.old"]
+    for name in others:
+        write(out / name, "kept\n")
+    (out / "iftrace_9.csv").mkdir()  # a directory, not an output file
+    kept = sorted([*others, "iftrace_9.csv"])
+
+    def names():
+        return sorted(p.name for p in out.iterdir() if p.name not in kept)
+
+    def decompose(*args):
+        return main(["decompose", "--out", str(out), *args])
+
+    if_run = ["--method", "if", "--input", str(two_tone_csv), "--xi", "3"]
+    assert decompose(*if_run, "--n-imfs", "4", "--plot") == 0
+    assert names() == ["decomposition.svg", "iftrace_1.csv", "iftrace_2.csv",
+                       "iftrace_3.csv", "iftrace_4.csv", "imfs.csv", "meta.txt",
+                       "spectrum.csv", "spectrum.svg"]
+    assert decompose(*if_run, "--n-imfs", "2") == 0
+    assert names() == ["iftrace_1.csv", "iftrace_2.csv", "imfs.csv", "meta.txt",
+                       "spectrum.csv"]
+    rows = "".join(f"{0.1 * i!r},{(-1.0) ** i + 0.1 * i!r}\n" for i in range(7))
+    short = write(tmp_path / "short.csv", "t,v\n" + rows)
+    assert decompose("--method", "emd", "--input", str(short)) == 0
+    assert names() == ["imfs.csv", "meta.txt"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*kept, "imfs.csv", "meta.txt"])
+    assert all((out / name).read_text() == "kept\n" for name in others)
+
+
+def test_spectrum_rerun_removes_only_its_own_stale_outputs(two_tone_csv, tmp_path):
+    out = tmp_path / "run"
+    assert main(["decompose", "--method", "if", "--input", str(two_tone_csv),
+                 "--out", str(out), "--xi", "3", "--n-imfs", "2", "--plot"]) == 0
+    write(out / "iftrace_3.csv", "earlier\n")
+    write(out / "notes.txt", "kept\n")
+    assert main(["spectrum", "--in", str(out), "--bins", "16"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "decomposition.svg", "iftrace_1.csv", "iftrace_2.csv", "imfs.csv",
+        "meta.txt", "notes.txt", "spectrum.csv",
+    ]
