@@ -104,7 +104,9 @@ def read_settings_file(path: str | Path) -> dict[str, str]:
 
     Keys are case-insensitive; an ``IF.``/``EEMD.`` prefix and underscores
     are ignored (``IF.Xi``, ``xi`` and ``IF.ExtPoints`` all work). Unknown
-    keys, and a key set twice under any spelling, are rejected.
+    keys, a key set twice under any spelling and a value its option's parser
+    rejects are errors that name the line. The values are returned as the
+    file spells them.
     """
     result: dict[str, str] = {}
     seen: dict[str, int] = {}  # option key -> line that set it
@@ -128,6 +130,12 @@ def read_settings_file(path: str | Path) -> dict[str, str]:
             raise ParseError(
                 f"{path}: line {lineno}: {name!r} already set on line {seen[name]}"
             )
+        try:
+            _OPTIONS[name][0](value)
+        except ValueError as exc:
+            raise ParseError(
+                f"{path}: line {lineno}: bad value for {name!r}: {exc}"
+            ) from None
         seen[name] = lineno
         result[name] = value
     return result
@@ -286,7 +294,7 @@ def run_spectrum(args: argparse.Namespace) -> int:
     """Recompute IF traces and the spectrum from a previous run's imfs.csv."""
     _require_positive("--bins", args.bins)
     out = Path(args.in_dir)
-    _, d = read_imfs_csv(out / "imfs.csv")
+    d = read_imfs_csv(out / "imfs.csv")
     if (n := len(d.residual)) < specfreq.MIN_IF_SAMPLES:
         raise ValueError(f"{out / 'imfs.csv'}: {n} samples; instantaneous frequency "
                          f"needs at least {specfreq.MIN_IF_SAMPLES}")

@@ -171,13 +171,20 @@ def ingest_csv(
     One column: values with dt = 1. Two or more: the first column is the
     time axis and the second the values, unless overridden by index or
     header name; pass ``time_col="none"`` to ignore the time column. The
-    time grid must be uniform to within a 1e-6 relative spread.
+    time grid must be uniform to within a 1e-6 relative spread. Naming a
+    time column in a one-column file, or the value column as the time
+    column, is an error.
     """
     header, data, linenos = _read_table(path)
     ncols = data.shape[1]
-    use_time = ncols >= 2 and (time_col is None or time_col.lower() != "none")
+    no_time = time_col is not None and time_col.lower() == "none"
+    if ncols == 1 and time_col is not None and not no_time:
+        raise ParseError(f"{path}: a file of 1 column has no time column {time_col!r}")
+    use_time = ncols >= 2 and not no_time
     t_idx = _resolve_column(path, time_col, header, ncols, 0) if use_time else None
     v_idx = _resolve_column(path, value_col, header, ncols, 1 if use_time else 0)
+    if t_idx == v_idx:
+        raise ParseError(f"{path}: column {v_idx} cannot be both time and value")
     _check_finite(path, data, linenos, [v_idx] if t_idx is None else [t_idx, v_idx])
     values = data[:, v_idx]
     if t_idx is None:
@@ -186,8 +193,8 @@ def ingest_csv(
     return Signal(values, dt=_uniform_step(path, t, linenos), t0=float(t[0]))
 
 
-def read_imfs_csv(path: str | Path) -> tuple[Signal, Decomposition]:
-    """Rebuild (input signal, decomposition) from an imfs.csv file.
+def read_imfs_csv(path: str | Path) -> Decomposition:
+    """Rebuild the decomposition an imfs.csv file holds.
 
     Every cell must be finite and the time column uniform, as for
     :func:`ingest_csv`.
@@ -203,8 +210,7 @@ def read_imfs_csv(path: str | Path) -> tuple[Signal, Decomposition]:
         Signal(data[:, j], dt=dt, t0=float(t[0])) for j in range(1, data.shape[1] - 1)
     )
     meta = tuple(ImfMeta(0, StopReason.DELTA_REACHED) for _ in imfs)
-    d = Decomposition(imfs=imfs, residual=residual, meta=meta)
-    return d.reconstruct(), d
+    return Decomposition(imfs=imfs, residual=residual, meta=meta)
 
 
 def read_meta(path: str | Path) -> dict[str, str]:

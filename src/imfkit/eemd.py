@@ -4,11 +4,10 @@ Each ensemble member decomposes the signal plus an independent white
 Gaussian noise realization whose standard deviation is ``nstd`` times the
 signal's. Members may run on worker processes forked by
 :func:`imfkit.core._forked_map`, which inherit the member task instead of
-being sent it; only each member's IMFs and residual come back, without
-the zero rows of a member that found fewer IMFs than the fixed component
-count. Member IMFs are aligned to that count and averaged in member order,
-which makes the result independent of how many worker processes computed
-the members.
+being sent it; only the IMF rows each member found, at most the fixed
+component count, and its residual come back. Member IMFs are averaged in
+member order as if zero-padded to that count, which makes the result
+independent of how many worker processes computed the members.
 """
 
 from __future__ import annotations
@@ -86,27 +85,20 @@ def noise_member(s: Signal, cfg: EEMDSettings, k: int) -> Signal:
 def _member(
     s: Signal, cfg: EEMDSettings, num_imfs: int, k: int
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, StopReason]]]:
-    """Decompose member k and align it to num_imfs components."""
+    """Decompose member k: its first IMFs, at most num_imfs, as the rows of
+    one array; its residual, with any further IMFs folded in; and each
+    returned IMF's (inner iterations, stop reason)."""
     member = noise_member(s, cfg, k)
     d = emd(member, cfg.emd)
-    imfs = np.zeros((num_imfs, len(member)))
+    found = min(len(d.imfs), num_imfs)
+    imfs = np.zeros((found, len(member)))
     residual = d.residual.samples.copy()
-    stats = []
-    for i, (imf, m) in enumerate(zip(d.imfs, d.meta)):
-        if i < num_imfs:
+    for i, imf in enumerate(d.imfs):
+        if i < found:
             imfs[i] = imf.samples
-            stats.append((m.inner_iterations, m.stop_reason))
         else:
             residual += imf.samples
-    return imfs, residual, stats
-
-
-def _member_rows(
-    s: Signal, cfg: EEMDSettings, num_imfs: int, k: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, StopReason]]]:
-    """:func:`_member` without the zero rows past its ``len(stats)`` IMFs."""
-    imfs, residual, stats = _member(s, cfg, num_imfs, k)
-    return imfs[: len(stats)], residual, stats
+    return imfs, residual, [(m.inner_iterations, m.stop_reason) for m in d.meta[:found]]
 
 
 def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomposition:
@@ -134,11 +126,14 @@ def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomp
     # each loading scipy and the wrapper itself (~20 ms each on a 2-core x86
     # host).
     _lapack()
-    results = _forked_map(partial(_member_rows, s, cfg, num_imfs), ne, threads)
+    results = _forked_map(partial(_member, s, cfg, num_imfs), ne, threads)
     # Running sums of the zero-padded members in member order, started from
     # member 0's arrays, without holding the members. A member sends only
     # the IMF rows it found; adding 0.0 to the rows it lacks stands in for
-    # its zero rows, which turn a -0.0 sum into 0.0.
+    # its zero rows, which turn a -0.0 sum into 0.0. This equals np.mean
+    # over the padded members bit for bit, except at a sample that is -0.0
+    # in every member: the sum keeps -0.0 there, while numpy's sum over
+    # axis 0 starts from +0.0 and gives 0.0.
     rows, residual, stats = next(results)
     imfs = np.zeros((num_imfs, len(s)))
     imfs[: len(rows)] = rows

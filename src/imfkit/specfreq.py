@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import Decomposition, Signal, _extrema_indices, _natural_spline
 
-DEFAULT_BOUNDARY_FRACTION = 0.05
-DEFAULT_AMPLITUDE_FLOOR = 1e-8
+BOUNDARY_FRACTION = 0.05
+AMPLITUDE_FLOOR = 1e-8
 # The fewest samples either estimator traces.
 MIN_IF_SAMPLES = 8
 
@@ -60,7 +60,7 @@ class IFTrace:
         object.__setattr__(self, "valid_mask", mask)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TimeFrequencyGrid:
     """Time x frequency amplitude grid with its axes, stored as its cells.
 
@@ -69,11 +69,8 @@ class TimeFrequencyGrid:
     ``bins[k]`` is ``values[k]``; every other cell of the grid is zero. The
     cells are distinct and in row-major order, so a grid costs memory in
     proportion to its cells (at most one per IMF and time sample), not to
-    len(times) x nbins.
-
-    ``TimeFrequencyGrid(times, freqs, amplitude)`` takes a dense
-    (len(times), nbins) matrix and keeps its nonzero entries;
-    :meth:`from_cells` takes the cells themselves.
+    len(times) x nbins. :meth:`from_dense` keeps a dense matrix's nonzero
+    entries.
     """
 
     times: np.ndarray
@@ -82,47 +79,35 @@ class TimeFrequencyGrid:
     bins: np.ndarray
     values: np.ndarray
 
-    def __init__(self, times: np.ndarray, freqs: np.ndarray, amplitude: np.ndarray):
-        if amplitude.shape != (times.size, freqs.size - 1):
-            raise ValueError("amplitude must be (len(times), len(freqs)-1)")
-        rows, bins = np.nonzero(amplitude)
-        self._set_cells(times, freqs, rows, bins, amplitude[rows, bins])
-
-    @classmethod
-    def from_cells(
-        cls,
-        times: np.ndarray,
-        freqs: np.ndarray,
-        rows: np.ndarray,
-        bins: np.ndarray,
-        values: np.ndarray,
-    ) -> "TimeFrequencyGrid":
-        """A grid from its cells: distinct (row, bin) pairs in row-major order."""
-        grid = cls.__new__(cls)
-        grid._set_cells(times, freqs, rows, bins, values)
-        return grid
-
-    def _set_cells(self, times, freqs, rows, bins, values) -> None:
-        rows = np.asarray(rows, dtype=np.intp)
-        bins = np.asarray(bins, dtype=np.intp)
-        values = np.asarray(values, dtype=np.float64)
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.intp)
+        bins = np.asarray(self.bins, dtype=np.intp)
+        values = np.asarray(self.values, dtype=np.float64)
         if not (rows.ndim == 1 and rows.shape == bins.shape == values.shape):
             raise ValueError("rows, bins and values must be 1-D of equal length")
-        nbins = freqs.size - 1
+        nbins = self.freqs.size - 1
         key = rows * nbins + bins  # strictly increasing: distinct, row-major
         if rows.size and not (
-            0 <= rows[0] and rows[-1] < times.size
+            0 <= rows[0] and rows[-1] < self.times.size
             and 0 <= bins.min() and bins.max() < nbins
             and np.all(key[1:] > key[:-1])
         ):
             raise ValueError("cells must be distinct, in range and in row-major order")
         if np.any(values < 0):
             raise ValueError("grid amplitudes must be nonnegative")
-        for name, value in (
-            ("times", times), ("freqs", freqs), ("rows", rows), ("bins", bins),
-            ("values", values),
-        ):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_dense(
+        cls, times: np.ndarray, freqs: np.ndarray, amplitude: np.ndarray
+    ) -> "TimeFrequencyGrid":
+        """The grid of a dense (len(times), len(freqs) - 1) matrix's nonzero cells."""
+        if amplitude.shape != (times.size, freqs.size - 1):
+            raise ValueError("amplitude must be (len(times), len(freqs)-1)")
+        rows, bins = np.nonzero(amplitude)
+        return cls(times, freqs, rows, bins, amplitude[rows, bins])
 
     @property
     def amplitude(self) -> np.ndarray:
@@ -219,48 +204,38 @@ def _stabilized_analytic_arr(x: np.ndarray) -> np.ndarray:
     return _analytic_arr(xe)[ext : ext + n]
 
 
-def _base_valid_mask(
-    amplitude: np.ndarray, boundary_frac: float, amp_floor: float
-) -> np.ndarray:
+def _base_valid_mask(amplitude: np.ndarray) -> np.ndarray:
     n = amplitude.size
     valid = np.ones(n, dtype=bool)
-    edge = max(1, int(np.ceil(boundary_frac * n)))
+    edge = max(1, int(np.ceil(BOUNDARY_FRACTION * n)))
     valid[:edge] = False
     valid[n - edge :] = False
     peak = float(amplitude.max())
     if peak == 0.0:
         valid[:] = False
     else:
-        valid &= amplitude >= amp_floor * peak
+        valid &= amplitude >= AMPLITUDE_FLOOR * peak
     return valid
 
 
-def hilbert_if(
-    s: Signal,
-    boundary_frac: float = DEFAULT_BOUNDARY_FRACTION,
-    amp_floor: float = DEFAULT_AMPLITUDE_FLOOR,
-    boundary_stabilize: bool = True,
-) -> IFTrace:
+def hilbert_if(s: Signal) -> IFTrace:
     """Instantaneous frequency from the analytic-signal phase.
 
     Amplitude is the analytic modulus; frequency is the centered finite
     difference of the unwrapped phase divided by 2*pi*dt (one-sided at the
-    ends). Samples in the outer ``boundary_frac`` of the signal or with
-    amplitude below ``amp_floor`` times the peak are flagged invalid.
+    ends). Samples in the outer ``BOUNDARY_FRACTION`` of the signal or with
+    amplitude below ``AMPLITUDE_FLOOR`` times the peak are flagged invalid.
 
-    By default the analytic signal is computed on an AR(2)-extended copy
-    of the signal (see ``_stabilized_analytic_arr``), which suppresses the
-    periodic-seam leakage of the plain FFT construction; pass
-    ``boundary_stabilize=False`` for the raw transform.
+    The analytic signal is computed on an AR(2)-extended copy of the
+    signal (see ``_stabilized_analytic_arr``), which suppresses the
+    periodic-seam leakage of the plain FFT construction that
+    :func:`analytic_signal` computes.
     """
     if len(s) < MIN_IF_SAMPLES:
         raise ValueError(
             f"instantaneous frequency needs at least {MIN_IF_SAMPLES} samples"
         )
-    if boundary_stabilize:
-        z = _stabilized_analytic_arr(s.samples)
-    else:
-        z = _analytic_arr(s.samples)
+    z = _stabilized_analytic_arr(s.samples)
     amplitude = np.abs(z)
     phase = np.unwrap(np.angle(z))
     n = phase.size
@@ -268,7 +243,7 @@ def hilbert_if(
     freq[1:-1] = (phase[2:] - phase[:-2]) / (4.0 * np.pi * s.dt)
     freq[0] = (phase[1] - phase[0]) / (2.0 * np.pi * s.dt)
     freq[-1] = (phase[-1] - phase[-2]) / (2.0 * np.pi * s.dt)
-    valid = _base_valid_mask(amplitude, boundary_frac, amp_floor)
+    valid = _base_valid_mask(amplitude)
     return IFTrace(
         amplitude=s.with_samples(amplitude),
         frequency=s.with_samples(freq),
@@ -291,18 +266,15 @@ def _abs_envelope(x: np.ndarray) -> np.ndarray:
     return np.maximum(env, 0.0)
 
 
-def derivative_if(
-    s: Signal,
-    boundary_frac: float = DEFAULT_BOUNDARY_FRACTION,
-    amp_floor: float = DEFAULT_AMPLITUDE_FLOOR,
-) -> IFTrace:
+def derivative_if(s: Signal) -> IFTrace:
     """Purely local instantaneous frequency from the second difference.
 
     For a narrowband component, s'' ~ -(2*pi*f)^2 * s, so
     f = sqrt(max(0, -s''/s)) / (2*pi) wherever |s| exceeds 1e-3 of its
     peak; samples near zero crossings are filled by linear interpolation
     from the nearest estimated neighbors. Amplitude is the spline envelope
-    of |s| through its local maxima.
+    of |s| through its local maxima. Samples are flagged invalid as by
+    :func:`hilbert_if`.
 
     The raw ratio is ill-conditioned close to zero crossings (a slowly
     varying envelope contributes a term proportional to cot of the phase),
@@ -336,7 +308,7 @@ def derivative_if(
         freq = np.zeros(n)
     else:
         freq = np.interp(np.arange(n), idx_ok, est[idx_ok])
-    valid = _base_valid_mask(amplitude, boundary_frac, amp_floor)
+    valid = _base_valid_mask(amplitude)
     return IFTrace(
         amplitude=s.with_samples(amplitude),
         frequency=s.with_samples(freq),
@@ -389,7 +361,7 @@ def hilbert_spectrum(
         raise ValueError("traces must hold one trace per IMF, each of the IMF length")
     edges = _bin_edges(ref.dt, nbins)
     if not d.imfs:
-        return TimeFrequencyGrid.from_cells(ref.times, edges, [], [], [])
+        return TimeFrequencyGrid(ref.times, edges, [], [], [])
     fmax = edges[-1]
     keys, masses = [], []  # per IMF: row * nbins + bin and mass of each valid sample
     for trace in traces:
@@ -407,4 +379,4 @@ def hilbert_spectrum(
     values = np.zeros(cells.size)
     np.add.at(values, inverse, np.concatenate(masses))
     rows, bins = np.divmod(cells, nbins)
-    return TimeFrequencyGrid.from_cells(ref.times, edges, rows, bins, values)
+    return TimeFrequencyGrid(ref.times, edges, rows, bins, values)

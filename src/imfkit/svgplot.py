@@ -28,6 +28,18 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
+def _document(height: int, body: list[str]) -> str:
+    """SVG text of ``body``'s elements on a white page _WIDTH wide."""
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_WIDTH}" height="{height}" viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>',
+        *body,
+        "</svg>\n",
+    ])
+
+
 def _downsample_line(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bucketed min/max downsampling; preserves the drawn envelope."""
     n = y.size
@@ -72,14 +84,7 @@ def render_decomposition_svg(source: Signal, d: Decomposition) -> str:
     panels = [("input", source)]
     panels += [(f"imf{i + 1}", imf) for i, imf in enumerate(d.imfs)]
     panels.append(("residual", d.residual))
-    total_h = _TOP + len(panels) * (_PANEL_HEIGHT + _PANEL_GAP) + 20
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_WIDTH}" height="{total_h}" '
-        f'viewBox="0 0 {_WIDTH} {total_h}">',
-        f'<rect width="{_WIDTH}" height="{total_h}" fill="#ffffff"/>',
-    ]
+    parts = []
     top = float(_TOP)
     for label, sig in panels:
         parts.extend(_panel_polyline(sig.times, sig.samples, top, label))
@@ -89,8 +94,7 @@ def render_decomposition_svg(source: Signal, d: Decomposition) -> str:
         f'<text x="{_LEFT}" y="{_fmt(top + 4)}" font-size="11" '
         f'font-family="monospace">t = [{_fmt(t[0])}, {_fmt(t[-1])}]</text>'
     )
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    return _document(_TOP + len(panels) * (_PANEL_HEIGHT + _PANEL_GAP) + 20, parts)
 
 
 # White -> amber -> dark red, linear in normalized amplitude.
@@ -126,21 +130,15 @@ def render_spectrum_svg(grid: TimeFrequencyGrid) -> str:
     peak = float(pooled.max()) or 1.0
     cell_w = w / ncols
     cell_h = h / nbins
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_WIDTH}" height="{h + 70}" viewBox="0 0 {_WIDTH} {h + 70}">',
-        f'<rect width="{_WIDTH}" height="{h + 70}" fill="#ffffff"/>',
-    ]
     v = pooled / peak
     cols, bins = np.nonzero(v > 0)  # zero cells stay the white background
     xs = list(map(_fmt, (_LEFT + np.arange(ncols) * cell_w).tolist()))
     ys = list(map(_fmt, (_TOP + h - np.arange(1, nbins + 1) * cell_h).tolist()))
     size = f'width="{_fmt(cell_w + 0.5)}" height="{_fmt(cell_h + 0.5)}"'
-    parts.extend(
+    parts = [
         f'<rect x="{xs[i]}" y="{ys[j]}" {size} fill="{fill}"/>'
         for i, j, fill in zip(cols.tolist(), bins.tolist(), _colors(v[cols, bins]))
-    )
+    ]
     t0, t1 = float(grid.times[0]), float(grid.times[-1])
     f0, f1 = float(grid.freqs[0]), float(grid.freqs[-1])
     parts.extend(
@@ -157,5 +155,4 @@ def render_spectrum_svg(grid: TimeFrequencyGrid) -> str:
             f'font-family="monospace">amplitude 0..{_fmt(peak)}</text>',
         ]
     )
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    return _document(h + 70, parts)

@@ -172,7 +172,7 @@ class TestRoundTrip:
         d = iterative_filtering(s, IFSettings(n_imfs=3))
         path = tmp_path / "imfs.csv"
         write_imfs_csv(path, s, d)
-        _, d2 = read_imfs_csv(path)
+        d2 = read_imfs_csv(path)
         assert len(d2.imfs) == len(d.imfs)
         for a, b in zip(d.imfs, d2.imfs):
             assert a.samples.tobytes() == b.samples.tobytes()
@@ -352,12 +352,23 @@ class TestInfoCommand:
 @pytest.mark.parametrize("selector, message", [
     ({"value_col": "x"}, "unknown column 'x'"),
     ({"time_col": "5"}, "column index 5 out of range (file has 2)"),
+    ({"time_col": "1", "value_col": "1"}, "column 1 cannot be both time and value"),
+    ({"value_col": "t"}, "column 0 cannot be both time and value"),
 ])
 def test_column_selector_error_names_the_file(tmp_path, selector, message):
     p = write(tmp_path / "a.csv", "t,v\n0,1\n1,2\n2,3\n")
     with pytest.raises(ParseError) as err:
         ingest_csv(p, **selector)
     assert str(err.value) == f"{p}: {message}"
+
+
+def test_time_column_of_a_one_column_file_is_rejected(tmp_path):
+    p = write(tmp_path / "a.csv", "1\n2\n3\n")
+    for selector in ("0", "5"):
+        with pytest.raises(ParseError) as err:
+            ingest_csv(p, time_col=selector)
+        assert str(err.value) == f"{p}: a file of 1 column has no time column {selector!r}"
+    assert ingest_csv(p, time_col="none").samples.tolist() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("n", [7, 8])

@@ -26,10 +26,14 @@ def bits(a):
 
 
 def padded_mean_oracle(s, cfg):
-    """np.mean over every member's padded (num_imfs, n) IMFs and residual."""
+    """np.mean over every member's IMFs zero-padded to (num_imfs, n), and
+    over the residuals."""
     num_imfs = eemd_module._default_num_imfs(len(s))
     members = [eemd_module._member(s, cfg, num_imfs, k) for k in range(cfg.ne)]
-    imfs = np.mean(np.stack([m[0] for m in members]), axis=0)
+    padded = np.zeros((cfg.ne, num_imfs, len(s)))
+    for k, (rows, _, _) in enumerate(members):
+        padded[k, : len(rows)] = rows
+    imfs = np.mean(padded, axis=0)
     residual = np.mean(np.stack([m[1] for m in members]), axis=0)
     return imfs, residual, [len(m[2]) for m in members]
 
@@ -79,18 +83,22 @@ def test_missing_rows_add_zero_as_the_zero_rows_did(monkeypatch, threads):
     counts = [2, 3, 1, 2]  # IMF rows found by members 0..3
 
     def fake_member(s, cfg, num_imfs, k):
-        imfs = np.zeros((num_imfs, n))
-        imfs[: counts[k]] = -0.0
-        imfs[: counts[k], k] = 2.0 ** -k
+        imfs = np.full((counts[k], n), -0.0)
+        imfs[:, k] = 2.0 ** -k
         stats = [(1, StopReason.DELTA_REACHED)] * counts[k]
         return imfs, np.full(n, -0.0), stats
+
+    def padded(rows):
+        out = np.zeros((num_imfs, n))
+        out[: len(rows)] = rows
+        return out
 
     s = Signal(np.arange(float(n)))
     cfg = EEMDSettings(ne=len(counts), num_imfs=num_imfs)
     members = [fake_member(s, cfg, num_imfs, k) for k in range(cfg.ne)]
-    imfs, residual = members[0][0].copy(), members[0][1].copy()
+    imfs, residual = padded(members[0][0]), members[0][1].copy()
     for member_imfs, member_residual, _ in members[1:]:
-        imfs += member_imfs
+        imfs += padded(member_imfs)
         residual += member_residual
     imfs /= cfg.ne
     residual /= cfg.ne

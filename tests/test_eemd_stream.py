@@ -1,4 +1,10 @@
-"""The streamed EEMD mean equals np.mean over all members, bit for bit."""
+"""The streamed EEMD mean equals np.mean over all zero-padded members, bit for bit.
+
+The one exception is a sample that is -0.0 in every member: numpy's sum
+over axis 0 starts from +0.0 and gives 0.0 there, while the running sum
+keeps -0.0 (see ``tests/test_eemd_members.py``). These inputs have no such
+sample.
+"""
 
 import importlib
 
@@ -19,7 +25,10 @@ def test_streamed_mean_matches_np_mean(ne):
     cfg = EEMDSettings(ne=ne, seed=41)
     num_imfs = eemd_module._default_num_imfs(n)
     members = [eemd_module._member(s, cfg, num_imfs, k) for k in range(ne)]
-    imfs = np.mean(np.stack([m[0] for m in members]), axis=0)
+    padded = np.zeros((ne, num_imfs, n))
+    for k, (rows, _, _) in enumerate(members):
+        padded[k, : len(rows)] = rows
+    imfs = np.mean(padded, axis=0)
     residual = np.mean(np.stack([m[1] for m in members]), axis=0)
 
     d = eemd(s, cfg)

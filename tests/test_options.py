@@ -176,6 +176,21 @@ class TestSettingsFileRepeats:
         assert f"line {lines[1]}" in message and f"line {lines[0]}" in message
         assert str(path) in message
 
+    @pytest.mark.parametrize("flags", [[], ["--xi", "3"]], ids=["file", "flag-too"])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, flags):
+        """Checked as the file is read, before the input, even if a flag
+        sets the same key."""
+        path = tmp_path / "s.cfg"
+        path.write_text("IF.NIMFs = 2\n# comment\nIF.Xi = abc\n")
+        missing = tmp_path / "no-such-input.csv"
+        code = main(["decompose", "--method", "if", "--settings", str(path), *flags,
+                     "--input", str(missing), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"imfkit: error: {path}: line 3: bad value for 'xi': "
+            "could not convert string to float: 'abc'\n"
+        )
+
     def test_distinct_keys_still_accepted(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("IF.ExtensionType = Reflection\nIF.MaxInner = 10\nIF.Xi = 3\n")

@@ -127,7 +127,7 @@ def test_spectrum_command_rewrites_traces_and_grid(signal_csv, tmp_path, row_blo
         ["spectrum", "--in", str(out), "--bins", "16", "--estimator", "derivative",
          "--weight", "energy"]
     ) == 0
-    _, d = read_imfs_csv(out / "imfs.csv")
+    d = read_imfs_csv(out / "imfs.csv")
     assert_traces(out, d, "derivative")
     grid = hilbert_spectrum(d, nbins=16, estimator="derivative", weight="energy")
     assert_spectrum(out / "spectrum.csv", grid)

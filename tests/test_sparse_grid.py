@@ -125,7 +125,7 @@ def test_all_invalid_traces_give_a_grid_without_cells():
 def test_dense_constructor_keeps_nonzero_cells():
     a = np.zeros((5, 4))
     a[[0, 0, 3, 4], [3, 1, 0, 3]] = [2.0, 1.5, 1e-300, 7.0]
-    grid = TimeFrequencyGrid(times=np.arange(5.0), freqs=np.arange(5.0), amplitude=a)
+    grid = TimeFrequencyGrid.from_dense(np.arange(5.0), np.arange(5.0), a)
     assert grid.rows.tolist() == [0, 0, 3, 4]
     assert grid.bins.tolist() == [1, 3, 0, 3]
     assert grid.values.tolist() == [1.5, 2.0, 1e-300, 7.0]
@@ -146,8 +146,9 @@ def test_dense_constructor_keeps_nonzero_cells():
     ],
 )
 def test_from_cells_rejects_bad_cells(rows, bins, values):
+    """The constructor, which takes a grid's cells, checks them."""
     with pytest.raises(ValueError):
-        TimeFrequencyGrid.from_cells(
+        TimeFrequencyGrid(
             np.arange(5.0), np.arange(5.0), np.array(rows), np.array(bins),
             np.array(values),
         )
@@ -181,7 +182,7 @@ def test_wide_spectrum_csv_memory_is_one_row(tmp_path):
     bins[0, [0, -1]] = 0, nbins - 1  # no zero run before or after row 0's cells
     values = rng.random(bins.shape) * 10.0 ** rng.uniform(-5, 5, bins.shape)
     dt = 0.01
-    grid = TimeFrequencyGrid.from_cells(
+    grid = TimeFrequencyGrid(
         0.5 + np.arange(n) * dt,
         np.linspace(0.0, 0.5 / dt, nbins + 1),
         np.repeat(np.arange(n), per_row),

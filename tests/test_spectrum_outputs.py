@@ -87,10 +87,8 @@ def assert_same_svg(grid):
 
 def _grid(amplitude, dt=0.01):
     n, nbins = amplitude.shape
-    return TimeFrequencyGrid(
-        times=0.5 + np.arange(n) * dt,
-        freqs=np.linspace(0.0, 0.5 / dt, nbins + 1),
-        amplitude=amplitude,
+    return TimeFrequencyGrid.from_dense(
+        0.5 + np.arange(n) * dt, np.linspace(0.0, 0.5 / dt, nbins + 1), amplitude
     )
 
 

@@ -35,6 +35,7 @@ import numpy as np
 SETTINGS = (
     "IF.Xi = 3\nIF.NIMFs = 3\nIF.ExtensionType = Reflection\nIF.alpha = almost_min\n"
 )
+BAD_SETTINGS = "IF.NIMFs = 3\nIF.Xi = abc\n"
 
 EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
         "--ne", "6", "--seed", "3", "--plot"]
@@ -99,7 +100,7 @@ RUNS = [
 ]
 
 # Commands whose stdout/stderr text is part of the compared output. "short"
-# holds an imfs.csv of 7 samples, too few to trace.
+# holds an imfs.csv of 7 samples, too few to trace; "ramp.csv" has one column.
 TEXTS = [
     ("decompose-help.txt", ["decompose", "--help"]),
     ("error-foreign-flag.txt", ["decompose", "--method", "emd", "--input", "in_short.csv",
@@ -110,6 +111,9 @@ TEXTS = [
                              "--out", "x", "--extension", "bogus"]),
     ("error-column.txt", ["info", "--input", "in_short.csv", "--value-col", "x"]),
     ("error-short-spectrum.txt", ["spectrum", "--in", "short", "--bins", "4"]),
+    ("error-settings-value.txt", ["decompose", "--method", "if", "--settings", "bad.cfg",
+                                  "--input", "in_short.csv", "--out", "x"]),
+    ("error-time-column.txt", ["info", "--input", "ramp.csv", "--time-col", "0"]),
 ]
 
 
@@ -143,6 +147,7 @@ def _write_inputs() -> None:
     Path("short/imfs.csv").write_text("time,imf1,residual\n" + rows)
     Path("ramp.csv").write_text("".join(f"{0.5 * i!r}\n" for i in range(40)))
     Path("settings.cfg").write_text(SETTINGS)
+    Path("bad.cfg").write_text(BAD_SETTINGS)
 
 
 def _capture(main, argv: list[str]) -> str:
@@ -176,7 +181,8 @@ def main() -> int:
         for name, argv in TEXTS:
             (Path("texts") / name).write_text(_capture(cli_main, argv))
         inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_tiny.csv", "in_nano.csv",
-                  "in_huge.csv", "ramp.csv", "settings.cfg", "short/imfs.csv"}
+                  "in_huge.csv", "ramp.csv", "settings.cfg", "bad.cfg",
+                  "short/imfs.csv"}
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             if path.as_posix() not in inputs:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
