@@ -66,14 +66,17 @@ def _parse_extension(text: str) -> BoundaryExtension:
 
 
 def _parse_mask_lengths(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    lengths = tuple(int(v) for v in text.split(",") if v.strip())
+    if not lengths:
+        raise ValueError(f"expected at least one mask length (got {text!r})")
+    return lengths
 
 
 # Every setting of the three methods: key -> (parser, help), in --help order.
-# The key names a field of EMDSettings, EEMDSettings or IFSettings (see
-# _FIELD_KEYS); "--" plus the key with dashes is its flag, and the key without
-# underscores its settings-file spelling. "seed" is the general --seed flag,
-# accepted by every method.
+# The key is the name of a field of EMDSettings, EEMDSettings or IFSettings
+# and of its meta.txt line; "--" plus the key with dashes is its flag, and the
+# key without underscores its settings-file spelling. "seed" is the general
+# --seed flag, accepted by every method.
 _OPTIONS = {
     "seed": (int, "EEMD noise seed"),
     "delta": (float, "IF inner-loop stopping ratio (default 0.001)"),
@@ -93,23 +96,21 @@ _OPTIONS = {
     "num_imfs": (int, "EEMD fixed component count (default round(log2 n)-1)"),
 }
 
-_FIELD_KEYS = {"mask_lengths_override": "mask_lengths"}  # field -> key, if not equal
 _FILE_KEYS = {key.replace("_", ""): key for key in _OPTIONS}
 _FILE_KEYS["extensiontype"] = "extension"  # the Settings_IF name
 _METHOD_SETTINGS = {"emd": EMDSettings, "eemd": EEMDSettings, "if": IFSettings}
 
 
-def read_settings_file(path: str | Path) -> dict[str, str]:
-    """Parse a key = value settings file mirroring the Settings_IF names.
+def read_settings_file(path: str | Path) -> dict[str, tuple[str, int]]:
+    """Read a key = value settings file mirroring the Settings_IF names.
 
     Keys are case-insensitive; an ``IF.``/``EEMD.`` prefix and underscores
     are ignored (``IF.Xi``, ``xi`` and ``IF.ExtPoints`` all work). Unknown
-    keys, a key set twice under any spelling and a value its option's parser
-    rejects are errors that name the line. The values are returned as the
-    file spells them.
+    keys and a key set twice under any spelling are errors that name the
+    line. Returns option key -> (value as the file spells it, line number);
+    the values are checked by :func:`build_options`.
     """
-    result: dict[str, str] = {}
-    seen: dict[str, int] = {}  # option key -> line that set it
+    result: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -126,43 +127,36 @@ def read_settings_file(path: str | Path) -> dict[str, str]:
         if norm not in _FILE_KEYS:
             raise ParseError(f"{path}: line {lineno}: unknown setting {key!r}")
         name = _FILE_KEYS[norm]
-        if name in seen:
-            raise ParseError(
-                f"{path}: line {lineno}: {name!r} already set on line {seen[name]}"
-            )
-        try:
-            _OPTIONS[name][0](value)
-        except ValueError as exc:
-            raise ParseError(
-                f"{path}: line {lineno}: bad value for {name!r}: {exc}"
-            ) from None
-        seen[name] = lineno
-        result[name] = value
+        if name in result:
+            raise ParseError(f"{path}: line {lineno}: {name!r} already set on "
+                             f"line {result[name][1]}")
+        result[name] = (value, lineno)
     return result
-
-
-def _settings_fields(settings) -> list:
-    """(option key, field) per field of a settings class or object, in order."""
-    return [(_FIELD_KEYS.get(f.name, f.name), f) for f in fields(settings)]
 
 
 def _method_keys(cls) -> set[str]:
     keys = set()
-    for key, f in _settings_fields(cls):
+    for f in fields(cls):
         nested = f.default_factory  # EEMDSettings.emd
-        keys |= _method_keys(nested) if is_dataclass(nested) else {key}
+        keys |= _method_keys(nested) if is_dataclass(nested) else {f.name}
     return keys
 
 
 def build_options(method: str, raw: dict[str, str]) -> dict:
-    """Type-check raw option strings and reject ones foreign to the method."""
-    allowed = _method_keys(_METHOD_SETTINGS[method]) | {"seed"}
+    """Parse and check option strings for ``method``; errors name the key.
+
+    A value is range-checked by the method's settings class built with its
+    key alone, which suffices because each field's check reads that field.
+    """
+    cls = _METHOD_SETTINGS[method]
+    allowed = _method_keys(cls) | {"seed"}
     options: dict = {}
     for key, value in raw.items():
         if key not in allowed:
             raise ValueError(f"option {key!r} is not valid for method {method!r}")
         try:
             options[key] = _OPTIONS[key][0](value)
+            _build_settings(cls, {key: options[key]})
         except ValueError as exc:
             raise ValueError(f"bad value for {key!r}: {exc}") from None
     return options
@@ -171,11 +165,11 @@ def build_options(method: str, raw: dict[str, str]) -> dict:
 def _build_settings(cls, options: dict):
     """A validated ``cls`` from build_options' values; EEMD nests EMDSettings."""
     kwargs = {}
-    for key, f in _settings_fields(cls):
+    for f in fields(cls):
         if is_dataclass(f.default_factory):
             kwargs[f.name] = _build_settings(f.default_factory, options)
-        elif key in options:
-            kwargs[f.name] = options[key]
+        elif f.name in options:
+            kwargs[f.name] = options[f.name]
     return cls(**kwargs)
 
 
@@ -186,8 +180,8 @@ def _build_settings(cls, options: dict):
 def _settings_pairs(settings, threads: int) -> list[tuple[str, object]]:
     """meta.txt lines of a settings object, fields in declaration order."""
     pairs: list[tuple[str, object]] = []
-    for key, f in _settings_fields(settings):
-        value = getattr(settings, f.name)
+    for f in fields(settings):
+        key, value = f.name, getattr(settings, f.name)
         if is_dataclass(value):
             pairs += _settings_pairs(value, threads)
             continue
@@ -364,10 +358,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "decompose":
-            raw = read_settings_file(args.settings) if args.settings else {}
+            options = {}
+            file = read_settings_file(args.settings) if args.settings else {}
+            for key, (value, line) in file.items():
+                try:
+                    options |= build_options(args.method, {key: value})
+                except ValueError as exc:
+                    raise ParseError(f"{args.settings}: line {line}: {exc}") from None
             # A flag beats the same key from the settings file.
-            raw.update((k, v) for k in _OPTIONS if (v := getattr(args, k)) is not None)
-            options = build_options(args.method, raw)
+            flags = {k: v for k in _OPTIONS if (v := getattr(args, k)) is not None}
+            options |= build_options(args.method, flags)
             return run(args, _build_settings(_METHOD_SETTINGS[args.method], options))
         if args.command == "spectrum":
             return run_spectrum(args)

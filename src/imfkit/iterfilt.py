@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class IFSettings:
     ``delta`` stops the inner loop once the moving-average-to-signal norm
     ratio falls below it; ``ext_points`` is the minimum extrema count for
     the outer loop to keep extracting; ``xi`` scales the mask length
-    (suggested range [1.1, 3]).
+    (suggested range [1.1, 3]). ``mask_lengths`` fixes the mask half-lengths
+    of the first components, one each; ``()`` leaves them all to ``alpha``.
     """
 
     delta: float = 0.001
@@ -92,7 +93,7 @@ class IFSettings:
     max_inner: int = 200
     alpha: MaskLengthRule = MaskLengthRule.AVE
     xi: float = 1.6
-    mask_lengths_override: tuple[int, ...] | None = None
+    mask_lengths: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not (self.delta > 0):
@@ -105,11 +106,10 @@ class IFSettings:
             raise ValueError("max_inner must be >= 1")
         if not (self.xi > 0):
             raise ValueError("xi must be positive")
-        if self.mask_lengths_override is not None:
-            lengths = tuple(int(v) for v in self.mask_lengths_override)
-            if any(v < 1 for v in lengths):
-                raise ValueError("mask lengths must be positive")
-            object.__setattr__(self, "mask_lengths_override", lengths)
+        lengths = tuple(int(v) for v in self.mask_lengths)
+        if any(v < 1 for v in lengths):
+            raise ValueError("mask lengths must be positive")
+        object.__setattr__(self, "mask_lengths", lengths)
 
 
 def make_mask(l: int) -> MaskFunction:
@@ -130,15 +130,13 @@ def _round_half_up(v: float) -> int:
     return int(np.floor(v + 0.5))
 
 
-def _mask_length_arr(x: np.ndarray, cfg: IFSettings) -> int:
-    idx_max, idx_min = _extrema_indices(x)
-    merged = np.sort(np.concatenate([idx_max, idx_min]))
+def _mask_length_arr(n: int, cfg: IFSettings, *extrema: np.ndarray) -> int:
+    merged = np.sort(np.concatenate(extrema))
     if merged.size < 2:
         raise TooFewExtrema(
             f"mask length needs >= 2 extrema, found {merged.size}"
         )
     spacing = np.diff(merged)
-    n = x.size
     if cfg.alpha is MaskLengthRule.FIXED0:
         raw = cfg.xi * float(spacing.min())
     elif cfg.alpha is MaskLengthRule.FIXED1:
@@ -162,7 +160,7 @@ def mask_length(s: Signal, cfg: IFSettings | None = None) -> int:
         If the signal has fewer than two extrema.
     """
     cfg = cfg if cfg is not None else IFSettings()
-    return _mask_length_arr(s.samples, cfg)
+    return _mask_length_arr(len(s), cfg, *_extrema_indices(s.samples))
 
 
 def _circular_embed(weights: np.ndarray, l: int, n: int) -> np.ndarray:
@@ -362,12 +360,12 @@ def iterative_filtering(
 ) -> Decomposition:
     """Decompose a signal by iterative filtering.
 
-    Per component: derive the mask half-length from the remainder's
-    extrema spacing (or take the next value of
-    ``cfg.mask_lengths_override``), extract with that frozen mask, and
-    subtract. Stops once the remainder has fewer than ``cfg.ext_points``
-    extrema or ``cfg.n_imfs`` components were extracted. Each component's
-    mask half-length is recorded in the decomposition metadata.
+    Per component: take the next value of ``cfg.mask_lengths`` or, once
+    those run out, derive the mask half-length from the spacing of the
+    remainder's extrema, extract with that frozen mask, and subtract.
+    Stops once the remainder has fewer than ``cfg.ext_points`` extrema or
+    ``cfg.n_imfs`` components were extracted. Each component's mask
+    half-length is recorded in the decomposition metadata.
 
     ``mask_factory`` makes the mask family pluggable; the default is the
     triangular self-convolution mask of :func:`make_mask`.
@@ -376,15 +374,14 @@ def iterative_filtering(
     x = s.samples.astype(np.float64, copy=True)
     imfs: list[np.ndarray] = []
     meta: list[ImfMeta] = []
-    override: Sequence[int] = cfg.mask_lengths_override or ()
     while len(imfs) < cfg.n_imfs:
         idx_max, idx_min = _extrema_indices(x)
         if idx_max.size + idx_min.size < cfg.ext_points:
             break
-        if len(imfs) < len(override):
-            l = int(override[len(imfs)])
+        if len(imfs) < len(cfg.mask_lengths):
+            l = cfg.mask_lengths[len(imfs)]
         else:
-            l = _mask_length_arr(x, cfg)
+            l = _mask_length_arr(x.size, cfg, idx_max, idx_min)
         imf, iterations, reason = _if_extract_arr(x, mask_factory(l), cfg)
         imfs.append(imf)
         meta.append(

@@ -147,7 +147,7 @@ class TestSettingsFile:
             "IF.Xi = 3\nif.nimfs = 100\nIF.alpha = Almost_min\n# comment\n",
         )
         raw = read_settings_file(p)
-        assert raw == {"xi": "3", "n_imfs": "100", "alpha": "Almost_min"}
+        assert raw == {"xi": ("3", 1), "n_imfs": ("100", 2), "alpha": ("Almost_min", 3)}
 
     def test_unknown_key_rejected(self, tmp_path):
         p = write(tmp_path / "s.cfg", "IF.bogus = 1\n")

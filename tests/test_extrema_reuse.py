@@ -1,16 +1,19 @@
 """EMD's first sift of each IMF reuses the outer loop's extrema scan when
-the unit scaling was exact, and rescans when it was not, with the same bits."""
+the unit scaling was exact, and rescans when it was not, with the same bits.
+IF's mask-length rule reuses the outer loop's scan of each remainder."""
 
 import importlib
 
 import numpy as np
 import pytest
 
-from imfkit import EMDSettings, Signal, emd
+from imfkit import EMDSettings, IFSettings, Signal, emd
+from imfkit import if_extract, iterative_filtering, mask_length
 from imfkit.core import _extrema_indices, _unit_scaled
 
 # The package's ``emd`` attribute is the function, not this module.
 emd_module = importlib.import_module("imfkit.emd")
+if_module = importlib.import_module("imfkit.iterfilt")
 
 
 def chirp(n=500):
@@ -67,3 +70,30 @@ def test_inexact_scaling_rescans_with_the_same_bits(monkeypatch):
     assert len(d.imfs) >= 2
     assert bits(d) == bits(d_rescan)
     assert scans > rescans - len(d.imfs)  # at least one IMF rescanned
+
+
+def test_if_scans_each_remainder_once(monkeypatch):
+    n = 8192
+    t = np.arange(n) / 1024
+    x = (np.sin(2 * np.pi * 0.5 * t) + 0.8 * np.sin(2 * np.pi * (2 + 5 * t) * t)
+         + 0.1 * np.random.default_rng(7).standard_normal(n))
+    cfg = IFSettings(n_imfs=6, xi=3.0)
+    calls = []
+
+    def counting_scan(a):
+        calls.append(a.size)
+        return _extrema_indices(a)
+
+    with monkeypatch.context() as m:
+        m.setattr(if_module, "_extrema_indices", counting_scan)
+        d = iterative_filtering(Signal(x), cfg)
+    assert len(d.imfs) == 6
+    assert len(calls) == 6
+
+    # The same components, one public step at a time.
+    rest, expected = Signal(x), []
+    for _ in range(6):
+        imf, _, _ = if_extract(rest, mask_length(rest, cfg), cfg)
+        expected.append(imf)
+        rest = rest.with_samples(rest.samples - imf.samples)
+    assert bits(d) == [c.samples.view(np.int64).tolist() for c in (*expected, rest)]

@@ -290,7 +290,7 @@ class TestIterativeFiltering:
 
     def test_mask_length_override(self):
         s, _, _ = two_tone(n=1024)
-        cfg = IFSettings(n_imfs=2, mask_lengths_override=(9, 40))
+        cfg = IFSettings(n_imfs=2, mask_lengths=(9, 40))
         d = iterative_filtering(s, cfg)
         assert d.mask_lengths == [9, 40][: len(d.imfs)]
 

@@ -16,7 +16,7 @@ from imfkit.cli import ParseError, ingest_csv, main, read_settings_file
 N = 256
 
 # A non-default value for every settings field, by method. The option key
-# is the field name, except for IFSettings.mask_lengths_override.
+# is the field name.
 NON_DEFAULT = {
     "emd": {
         "max_imfs": "2",
@@ -37,14 +37,13 @@ NON_DEFAULT = {
         "mask_lengths": "5,9",
     },
 }
-FIELD_KEYS = {"mask_lengths_override": "mask_lengths"}
 SETTINGS_CLASSES = {"emd": EMDSettings, "eemd": EEMDSettings, "if": IFSettings}
 # Keeps EEMD runs small when the option under test is not ``ne``.
 BASE_FLAGS = {"emd": [], "eemd": ["--ne", "2"], "if": []}
 
 
 def option_keys(cls) -> list[str]:
-    return [FIELD_KEYS.get(f.name, f.name) for f in fields(cls) if f.name != "emd"]
+    return [f.name for f in fields(cls) if f.name != "emd"]
 
 
 @pytest.fixture
@@ -143,6 +142,7 @@ class TestBadSettingBeforeInput:
             (["--method", "if", "--xi", "-1"], "xi must be"),
             (["--method", "eemd", "--seed", "-1"], "seed must be"),
             (["--method", "if", "--mask-lengths", "0"], "mask lengths must be"),
+            (["--method", "if", "--mask-lengths", ","], "at least one mask length"),
         ],
     )
     def test_rejected_before_the_input_is_read(self, tmp_path, capsys, args, message):
@@ -153,6 +153,35 @@ class TestBadSettingBeforeInput:
         err = capsys.readouterr().err
         assert message in err
         assert "no-such-input" not in err
+        assert not out.exists()
+
+    def test_flag_range_error_names_the_option(self, tmp_path, capsys):
+        code = main(["decompose", "--method", "if", "--xi", "-1", "--input",
+                     str(tmp_path / "no-such-input.csv"), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "imfkit: error: bad value for 'xi': xi must be positive\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("IF.Xi = -1\n", "line 1: bad value for 'xi': xi must be positive"),
+            ("IF.NIMFs = 2\nEEMD.Ne = 5\n",
+             "line 2: option 'ne' is not valid for method 'if'"),
+            ("IF.MaskLengths = ,\n", "line 1: bad value for 'mask_lengths': "
+             "expected at least one mask length (got ',')"),
+        ],
+        ids=["range", "foreign", "empty-mask-lengths"],
+    )
+    def test_file_value_names_file_and_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "s.cfg"
+        path.write_text(text)
+        out = tmp_path / "run"
+        code = main(["decompose", "--method", "if", "--settings", str(path), "--input",
+                     str(tmp_path / "no-such-input.csv"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"imfkit: error: {path}: {message}\n"
         assert not out.exists()
 
 
@@ -195,9 +224,9 @@ class TestSettingsFileRepeats:
         path = tmp_path / "s.cfg"
         path.write_text("IF.ExtensionType = Reflection\nIF.MaxInner = 10\nIF.Xi = 3\n")
         assert read_settings_file(path) == {
-            "extension": "Reflection",
-            "max_inner": "10",
-            "xi": "3",
+            "extension": ("Reflection", 1),
+            "max_inner": ("10", 2),
+            "xi": ("3", 3),
         }
 
 

@@ -36,6 +36,8 @@ SETTINGS = (
     "IF.Xi = 3\nIF.NIMFs = 3\nIF.ExtensionType = Reflection\nIF.alpha = almost_min\n"
 )
 BAD_SETTINGS = "IF.NIMFs = 3\nIF.Xi = abc\n"
+RANGE_SETTINGS = "IF.Xi = -1\n"
+FOREIGN_SETTINGS = "IF.NIMFs = 3\nEEMD.Ne = 5\n"
 
 EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
         "--ne", "6", "--seed", "3", "--plot"]
@@ -101,6 +103,7 @@ RUNS = [
 
 # Commands whose stdout/stderr text is part of the compared output. "short"
 # holds an imfs.csv of 7 samples, too few to trace; "ramp.csv" has one column.
+IF_FAILS = ["decompose", "--method", "if", "--input", "in_short.csv", "--out", "x"]
 TEXTS = [
     ("decompose-help.txt", ["decompose", "--help"]),
     ("error-foreign-flag.txt", ["decompose", "--method", "emd", "--input", "in_short.csv",
@@ -114,6 +117,9 @@ TEXTS = [
     ("error-settings-value.txt", ["decompose", "--method", "if", "--settings", "bad.cfg",
                                   "--input", "in_short.csv", "--out", "x"]),
     ("error-time-column.txt", ["info", "--input", "ramp.csv", "--time-col", "0"]),
+    ("error-settings-range.txt", [*IF_FAILS, "--settings", "range.cfg"]),
+    ("error-settings-foreign.txt", [*IF_FAILS, "--settings", "foreign.cfg"]),
+    ("error-mask-lengths-empty.txt", [*IF_FAILS, "--mask-lengths", ","]),
 ]
 
 
@@ -148,6 +154,8 @@ def _write_inputs() -> None:
     Path("ramp.csv").write_text("".join(f"{0.5 * i!r}\n" for i in range(40)))
     Path("settings.cfg").write_text(SETTINGS)
     Path("bad.cfg").write_text(BAD_SETTINGS)
+    Path("range.cfg").write_text(RANGE_SETTINGS)
+    Path("foreign.cfg").write_text(FOREIGN_SETTINGS)
 
 
 def _capture(main, argv: list[str]) -> str:
@@ -181,8 +189,8 @@ def main() -> int:
         for name, argv in TEXTS:
             (Path("texts") / name).write_text(_capture(cli_main, argv))
         inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_tiny.csv", "in_nano.csv",
-                  "in_huge.csv", "ramp.csv", "settings.cfg", "bad.cfg",
-                  "short/imfs.csv"}
+                  "in_huge.csv", "ramp.csv", "settings.cfg", "bad.cfg", "range.cfg",
+                  "foreign.cfg", "short/imfs.csv"}
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             if path.as_posix() not in inputs:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
