@@ -12,16 +12,13 @@ from .core import (
     BoundaryExtension,
     Decomposition,
     DecompositionError,
-    ExtremaSet,
     ImfMeta,
     MaskTooLong,
     Signal,
     StopReason,
     TooFewExtrema,
     ZeroVarianceSignal,
-    extend,
     extrema,
-    norm2,
 )
 from .eemd import EEMDSettings, eemd, noise_member
 from .emd import EMDSettings, emd, envelope_mean, extract_imf, sift_once
@@ -37,10 +34,8 @@ from .iterfilt import (
     moving_average,
 )
 from .specfreq import (
-    AnalyticSignal,
     IFTrace,
     TimeFrequencyGrid,
-    analytic_signal,
     derivative_if,
     hilbert_if,
     hilbert_spectrum,
@@ -49,13 +44,11 @@ from .specfreq import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSignal",
     "BoundaryExtension",
     "Decomposition",
     "DecompositionError",
     "EEMDSettings",
     "EMDSettings",
-    "ExtremaSet",
     "IFSettings",
     "IFTrace",
     "ImfMeta",
@@ -67,12 +60,10 @@ __all__ = [
     "TimeFrequencyGrid",
     "TooFewExtrema",
     "ZeroVarianceSignal",
-    "analytic_signal",
     "derivative_if",
     "eemd",
     "emd",
     "envelope_mean",
-    "extend",
     "extract_imf",
     "extrema",
     "hilbert_if",
@@ -84,6 +75,5 @@ __all__ = [
     "mask_length",
     "moving_average",
     "noise_member",
-    "norm2",
     "sift_once",
 ]

@@ -30,8 +30,6 @@ import numpy as np
 
 from .core import BoundaryExtension, Decomposition, DecompositionError, _extrema_indices
 from .csvio import EmissionPlan, IngestError, ParseError, ingest_csv, read_imfs_csv
-# Part of this module's interface too:
-from .csvio import NonUniformSampling, TooShort, read_meta, write_imfs_csv  # noqa: F401
 from .eemd import EEMDSettings, eemd
 from .emd import EMDSettings, emd
 from .iterfilt import IFSettings, MaskLengthRule, iterative_filtering

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,13 +47,6 @@ class StopReason(Enum):
 
     DELTA_REACHED = "delta_reached"
     MAX_INNER_REACHED = "max_inner_reached"
-
-
-_NP_PAD_MODE = {
-    BoundaryExtension.CONSTANT: "edge",
-    BoundaryExtension.PERIODIC: "wrap",
-    BoundaryExtension.REFLECTION: "reflect",
-}
 
 
 @dataclass(frozen=True)
@@ -105,22 +97,6 @@ class Signal:
 
 
 @dataclass(frozen=True)
-class ExtremaSet:
-    """Interior local maxima and minima of a signal, in ascending index order."""
-
-    max_indices: np.ndarray
-    min_indices: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.max_indices.size + self.min_indices.size
-
-    def merged(self) -> np.ndarray:
-        """All extremum indices merged and sorted ascending."""
-        return np.sort(np.concatenate([self.max_indices, self.min_indices]))
-
-
-@dataclass(frozen=True)
 class ImfMeta:
     """Per-component provenance of a decomposition."""
 
@@ -149,11 +125,6 @@ class Decomposition:
         if len(self.meta) != len(self.imfs):
             raise ValueError("one meta record per IMF required")
 
-    @property
-    def mask_lengths(self) -> list[int | None]:
-        """Mask half-length used per IMF (None for spline-envelope methods)."""
-        return [m.mask_half_length for m in self.meta]
-
     def reconstruct(self) -> Signal:
         """Sum of all IMFs and the residual."""
         total = self.residual.samples.copy()
@@ -162,16 +133,15 @@ class Decomposition:
         return self.residual.with_samples(total)
 
 
-def extrema(s: Signal) -> ExtremaSet:
-    """Locate interior strict local extrema, resolving plateaus to midpoints.
+def extrema(s: Signal) -> tuple[np.ndarray, np.ndarray]:
+    """Interior local maxima and minima, as ascending index arrays.
 
     A run of equal values flanked by lower (higher) values on both sides
     counts as a single maximum (minimum) at the run's midpoint, rounded
     down. Boundary samples and plateaus touching a boundary are never
     extrema. A constant signal has none.
     """
-    idx_max, idx_min = _extrema_indices(s.samples)
-    return ExtremaSet(max_indices=idx_max, min_indices=idx_min)
+    return _extrema_indices(s.samples)
 
 
 def _extrema_indices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -349,20 +319,6 @@ def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -exp), int(exp)
 
 
-def extend(s: Signal, mode: BoundaryExtension, pad: int) -> Signal:
-    """Extend a signal by ``pad`` samples on each side.
-
-    The original samples occupy positions ``pad .. pad+n-1`` of the result.
-    Periodic extension tiles the signal; reflection mirrors it about the
-    boundary samples without duplicating them (and keeps reflecting for
-    pads beyond one period); constant continues the boundary values.
-    """
-    if pad < 1:
-        raise ValueError(f"pad must be >= 1, got {pad}")
-    padded = np.pad(s.samples, pad, mode=_NP_PAD_MODE[mode])
-    return Signal(padded, dt=s.dt, t0=s.t0 - pad * s.dt)
-
-
 def _sum_squares(x: np.ndarray) -> float:
     """Sum of the squared entries of a 1-D array, in numpy's own loop.
 
@@ -372,8 +328,3 @@ def _sum_squares(x: np.ndarray) -> float:
     on two cores slower than one process.
     """
     return float(np.einsum("i,i->", x, x))
-
-
-def norm2(s: Signal) -> float:
-    """Euclidean norm of the sample vector."""
-    return math.sqrt(_sum_squares(s.samples))

@@ -257,17 +257,6 @@ def _write_csv(path, time_text: list[str], columns: dict[str, np.ndarray]) -> No
             fh.write("\n".join(map(",".join, zip(time_text[rows], *cells))) + "\n")
 
 
-def _component_columns(d: Decomposition) -> dict[str, np.ndarray]:
-    columns = {f"imf{i}": imf.samples for i, imf in enumerate(d.imfs, start=1)}
-    columns["residual"] = d.residual.samples
-    return columns
-
-
-def write_imfs_csv(path: str | Path, source: Signal, d: Decomposition) -> None:
-    """time, imf1..imfK, residual, as shortest round-trip decimals."""
-    _write_csv(Path(path), _format_column(source.times), _component_columns(d))
-
-
 def _write_spectrum_csv(
     path: Path, grid: TimeFrequencyGrid, time_text: list[str]
 ) -> None:
@@ -366,7 +355,9 @@ class EmissionPlan:
 
     def add_imfs(self, path: Path, d: Decomposition) -> None:
         """imfs.csv: time, imf1..imfK, residual."""
-        self._add_csv(path, _component_columns(d))
+        columns = {f"imf{i}": imf.samples for i, imf in enumerate(d.imfs, start=1)}
+        columns["residual"] = d.residual.samples
+        self._add_csv(path, columns)
 
     def add_trace(self, path: Path, trace: IFTrace) -> None:
         """iftrace_k.csv: time, amplitude, frequency, valid."""

@@ -30,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    _NP_PAD_MODE,
     BoundaryExtension,
     Decomposition,
     ImfMeta,
@@ -42,6 +41,14 @@ from .core import (
     _sum_squares,
     _unit_scaled,
 )
+
+
+# np.pad modes of the extensions that pad in the time domain; periodic
+# extension multiplies by the mask's gain instead.
+_NP_PAD_MODE = {
+    BoundaryExtension.CONSTANT: "edge",
+    BoundaryExtension.REFLECTION: "reflect",
+}
 
 
 class MaskLengthRule(Enum):
@@ -325,15 +332,12 @@ def _if_extract_arr(
 
 
 def if_extract(
-    s: Signal,
-    l: int,
-    cfg: IFSettings | None = None,
-    mask_factory: Callable[[int], MaskFunction] = make_mask,
+    s: Signal, l: int, cfg: IFSettings | None = None
 ) -> tuple[Signal, int, StopReason]:
     """Extract one component with a frozen mask of half-length ``l``.
 
     Repeats ``s <- s - M(s)`` with the same mask until the ratio
-    norm2(M(s)) / norm2(s) drops below ``cfg.delta`` or ``cfg.max_inner``
+    ||M(s)|| / ||s|| drops below ``cfg.delta`` or ``cfg.max_inner``
     subtractions were performed.
 
     Under periodic and reflection extension the repetition is evaluated in
@@ -349,15 +353,11 @@ def if_extract(
     (imf, iterations, stop_reason)
     """
     cfg = cfg if cfg is not None else IFSettings()
-    imf, iterations, reason = _if_extract_arr(s.samples, mask_factory(l), cfg)
+    imf, iterations, reason = _if_extract_arr(s.samples, make_mask(l), cfg)
     return s.with_samples(imf), iterations, reason
 
 
-def iterative_filtering(
-    s: Signal,
-    cfg: IFSettings | None = None,
-    mask_factory: Callable[[int], MaskFunction] = make_mask,
-) -> Decomposition:
+def iterative_filtering(s: Signal, cfg: IFSettings | None = None) -> Decomposition:
     """Decompose a signal by iterative filtering.
 
     Per component: take the next value of ``cfg.mask_lengths`` or, once
@@ -365,10 +365,8 @@ def iterative_filtering(
     remainder's extrema, extract with that frozen mask, and subtract.
     Stops once the remainder has fewer than ``cfg.ext_points`` extrema or
     ``cfg.n_imfs`` components were extracted. Each component's mask
-    half-length is recorded in the decomposition metadata.
-
-    ``mask_factory`` makes the mask family pluggable; the default is the
-    triangular self-convolution mask of :func:`make_mask`.
+    half-length is recorded in the decomposition metadata. Every mask is
+    the triangular self-convolution mask of :func:`make_mask`.
     """
     cfg = cfg if cfg is not None else IFSettings()
     x = s.samples.astype(np.float64, copy=True)
@@ -382,7 +380,7 @@ def iterative_filtering(
             l = cfg.mask_lengths[len(imfs)]
         else:
             l = _mask_length_arr(x.size, cfg, idx_max, idx_min)
-        imf, iterations, reason = _if_extract_arr(x, mask_factory(l), cfg)
+        imf, iterations, reason = _if_extract_arr(x, make_mask(l), cfg)
         imfs.append(imf)
         meta.append(
             ImfMeta(inner_iterations=iterations, stop_reason=reason, mask_half_length=l)

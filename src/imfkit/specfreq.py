@@ -23,22 +23,6 @@ MIN_IF_SAMPLES = 8
 
 
 @dataclass(frozen=True)
-class AnalyticSignal:
-    """Complex extension of a real signal (imaginary part = Hilbert transform)."""
-
-    real_part: Signal
-    imag_part: Signal
-
-    def __post_init__(self):
-        if len(self.real_part) != len(self.imag_part):
-            raise ValueError("real and imaginary parts must have equal length")
-
-    @property
-    def modulus(self) -> np.ndarray:
-        return np.hypot(self.real_part.samples, self.imag_part.samples)
-
-
-@dataclass(frozen=True)
 class IFTrace:
     """Amplitude and instantaneous-frequency traces with a validity mask.
 
@@ -123,6 +107,12 @@ class TimeFrequencyGrid:
 
 
 def _analytic_arr(x: np.ndarray) -> np.ndarray:
+    """One-sided-spectrum analytic signal of x, without edge extension.
+
+    Zeroes the negative-frequency bins and doubles the positive ones (DC
+    and Nyquist unchanged); the imaginary part is the discrete Hilbert
+    transform.
+    """
     n = x.size
     spec = np.fft.fft(x)
     gain = np.zeros(n)
@@ -133,19 +123,6 @@ def _analytic_arr(x: np.ndarray) -> np.ndarray:
         gain[0] = 1.0
         gain[1 : (n + 1) // 2] = 2.0
     return np.fft.ifft(spec * gain)
-
-
-def analytic_signal(s: Signal) -> AnalyticSignal:
-    """One-sided-spectrum analytic signal.
-
-    Transforms the signal, zeroes the negative-frequency bins, doubles the
-    positive ones (DC and Nyquist unchanged) and inverse-transforms; the
-    imaginary part of the result is the discrete Hilbert transform.
-    """
-    if len(s) < 4:
-        raise ValueError("analytic signal needs at least 4 samples")
-    z = _analytic_arr(s.samples)
-    return AnalyticSignal(real_part=s, imag_part=s.with_samples(z.imag))
 
 
 def _ar2_coefficients(x: np.ndarray, fit_len: int) -> tuple[float, float]:
@@ -228,8 +205,8 @@ def hilbert_if(s: Signal) -> IFTrace:
 
     The analytic signal is computed on an AR(2)-extended copy of the
     signal (see ``_stabilized_analytic_arr``), which suppresses the
-    periodic-seam leakage of the plain FFT construction that
-    :func:`analytic_signal` computes.
+    periodic-seam leakage of the plain FFT construction
+    (``_analytic_arr``).
     """
     if len(s) < MIN_IF_SAMPLES:
         raise ValueError(

@@ -7,17 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imfkit.cli import (
+from imfkit.cli import build_options, main, read_settings_file
+from imfkit.csvio import (
+    EmissionPlan,
     NonUniformSampling,
     ParseError,
     TooShort,
-    build_options,
     ingest_csv,
-    main,
     read_imfs_csv,
     read_meta,
-    read_settings_file,
-    write_imfs_csv,
 )
 from imfkit import Signal, iterative_filtering, IFSettings
 from imfkit import specfreq
@@ -171,7 +169,9 @@ class TestRoundTrip:
         s = Signal(rng.standard_normal(n), dt=0.125, t0=-3.0)
         d = iterative_filtering(s, IFSettings(n_imfs=3))
         path = tmp_path / "imfs.csv"
-        write_imfs_csv(path, s, d)
+        plan = EmissionPlan(s.times)  # the writer `imfkit decompose` uses
+        plan.add_imfs(path, d)
+        plan.run()
         d2 = read_imfs_csv(path)
         assert len(d2.imfs) == len(d.imfs)
         for a, b in zip(d.imfs, d2.imfs):

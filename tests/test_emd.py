@@ -51,14 +51,14 @@ class TestEnvelopeMean:
 
     def test_envelopes_touch_signal_at_extremum_knots(self, rng):
         x = rng.standard_normal(300)
-        e = extrema(Signal(x))
+        maxima, minima = extrema(Signal(x))
         grid = np.arange(x.size)
-        pos, val = _envelope_knots(e.max_indices, x, BoundaryExtension.REFLECTION)
+        pos, val = _envelope_knots(maxima, x, BoundaryExtension.REFLECTION)
         upper = CubicSpline(pos, val, bc_type="natural")(grid)
-        assert np.max(np.abs(upper[e.max_indices] - x[e.max_indices])) == 0.0
-        pos, val = _envelope_knots(e.min_indices, x, BoundaryExtension.REFLECTION)
+        assert np.max(np.abs(upper[maxima] - x[maxima])) == 0.0
+        pos, val = _envelope_knots(minima, x, BoundaryExtension.REFLECTION)
         lower = CubicSpline(pos, val, bc_type="natural")(grid)
-        assert np.max(np.abs(lower[e.min_indices] - x[e.min_indices])) == 0.0
+        assert np.max(np.abs(lower[minima] - x[minima])) == 0.0
 
     def test_requires_both_envelopes(self):
         with pytest.raises(TooFewExtrema):
@@ -173,14 +173,14 @@ class TestEmd:
         cfg = EMDSettings()
         d = emd(Signal(x), cfg)
         if len(d.imfs) < cfg.max_imfs:
-            e = extrema(d.residual)
-            n_max, n_min = e.max_indices.size, e.min_indices.size
-            assert e.count < cfg.min_extrema or n_max < 2 or n_min < 2
+            maxima, minima = extrema(d.residual)
+            n_max, n_min = maxima.size, minima.size
+            assert n_max + n_min < cfg.min_extrema or n_max < 2 or n_min < 2
 
     def test_converged_imfs_balance_extrema(self):
         s, _, _ = two_tone(n=2048)
         d = emd(s)
         for imf, meta in zip(d.imfs, d.meta):
             if meta.stop_reason is StopReason.DELTA_REACHED:
-                e = extrema(imf)
-                assert abs(e.max_indices.size - e.min_indices.size) <= 1
+                maxima, minima = extrema(imf)
+                assert abs(maxima.size - minima.size) <= 1
