@@ -1,10 +1,8 @@
 """Files of the imfkit CLI: CSV input, and the plan that writes a run's output.
 
-Reading: one parser serves :func:`ingest_csv` and :func:`read_imfs_csv`.
-It converts a block of lines at a time, with one ``map(float)`` over the
-block's cells, into a preallocated float64 array, and looks for the
-offending line only when a block fails, so every error still names the
-file and line.
+Reading: :func:`ingest_csv` and :func:`read_imfs_csv` pass a file's data
+rows from the open file to one ``np.loadtxt`` call, and read it again only
+to find the line an error names.
 
 Writing: the files of a run (CSV tables, meta.txt and SVG plots) form one
 :class:`EmissionPlan`, a job per file, which runs the jobs on a pool of
@@ -23,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable
 
@@ -50,8 +48,8 @@ class NonUniformSampling(IngestError):
     """Time column is not a uniform grid; the message names the bad row."""
 
 
-# Files are parsed, and CSV text is formatted, a block of this many rows at
-# a time, so the memory a long signal takes beyond its arrays stays bounded.
+# CSV text is formatted a block of this many rows at a time, so the memory
+# a long signal takes beyond its arrays stays bounded.
 _ROW_BLOCK = 4096
 # spectrum.csv blocks hold at most this many cells (about 2 MB of text), so
 # a grid with many bins writes fewer rows per block.
@@ -61,76 +59,77 @@ _BLOCK_CELLS = 1 << 19
 # Reading
 
 
-def _raise_bad_line(path, lines: list[str], linenos, ncols: int) -> None:
-    """Raise the ParseError of the first of ``lines`` that is not a data row."""
-    for line, lineno in zip(lines, linenos):
-        cells = [c.strip() for c in line.split(",")]
-        try:
-            values = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        if len(values) != ncols:
+def _data_lines(path, header: list[str] | None):
+    """(line number, text) of each data row: a non-blank line after the header."""
+    with open(path) as fh:
+        numbered = ((n, line) for n, line in enumerate(fh, 1) if line.strip())
+        yield from islice(numbered, header is not None, None)
+
+
+def _lineno(path, header: list[str] | None, row: int) -> int:
+    return next(islice(_data_lines(path, header), row, None))[0]
+
+
+def _parses(text: str, ncols: int) -> bool:
+    """Whether numpy's reader takes ``text`` as a row of ``ncols`` floats."""
+    try:
+        return np.loadtxt([text], delimiter=",", comments=None).size == ncols
+    except ValueError:
+        return False
+
+
+def _raise_bad_line(path, header: list[str] | None, ncols: int) -> None:
+    """Raise the ParseError of the first data row numpy's reader rejects."""
+    for lineno, line in _data_lines(path, header):
+        if not _parses(line, ncols):
+            cells = line.split(",")
+            for c in cells:
+                if not (c.strip() and _parses(c, 1)):
+                    msg = f"could not convert string to float: {c.strip()!r}"
+                    raise ParseError(f"{path}: line {lineno}: {msg}")
             raise ParseError(
-                f"{path}: line {lineno}: expected {ncols} columns, got {len(values)}"
+                f"{path}: line {lineno}: expected {ncols} columns, got {len(cells)}"
             )
 
 
-def _read_table(path: str | Path) -> tuple[list[str] | None, np.ndarray, np.ndarray]:
-    """Rows of a CSV file as floats, plus the auto-detected header.
+def _read_table(path: str | Path) -> tuple[list[str] | None, np.ndarray]:
+    """(header or None, the data rows as a (rows, columns) float64 array).
 
-    Returns (header or None, a (rows, columns) float64 array, 1-based file
-    line number per row). Blank lines are skipped; a first non-blank line
-    that does not parse as numbers is the header.
+    Blank lines are skipped; a first non-blank line that does not parse as
+    numbers is the header.
     """
-    lines = Path(path).read_text().splitlines()
-    nonblank = (i for i, line in enumerate(lines) if line.strip())
-    first = next(nonblank, None)
-    header: list[str] | None = None
-    if first is not None:
-        cells = [c.strip() for c in lines[first].split(",")]
+    with open(path) as fh:
+        lines = filter(str.strip, fh)
+        first = next(lines, None)
+        header: list[str] | None = None
+        if first is not None:
+            cells = [c.strip() for c in first.split(",")]
+            try:
+                list(map(float, cells))
+            except ValueError:
+                header, first = cells, next(lines, None)
         try:
-            for c in cells:
-                float(c)
+            data = np.empty((0, 0)) if first is None else np.loadtxt(
+                chain([first], lines), delimiter=",", comments=None, ndmin=2
+            )
         except ValueError:
-            header = cells
-            first = next(nonblank, None)
-    if first is None:
-        raise TooShort(f"{path}: need at least 2 data rows, found 0")
-    ncols = lines[first].count(",") + 1
-    data = np.empty((len(lines) - first, ncols))
-    linenos = np.empty(len(lines) - first, dtype=np.intp)
-    nrows = 0
-    for lo in range(first, len(lines), _ROW_BLOCK):
-        block = lines[lo : lo + _ROW_BLOCK]
-        keep = np.flatnonzero(list(map(bool, map(str.strip, block))))
-        if keep.size < len(block):
-            block = [block[i] for i in keep.tolist()]
-        k = len(block)
-        rows = slice(nrows, nrows + k)
-        linenos[rows] = keep + (lo + 1)
-        try:
-            if set(map(str.count, block, repeat(","))) - {ncols - 1}:
-                raise ValueError("column count")
-            data[rows] = np.fromiter(
-                map(float, ",".join(block).split(",")), np.float64, k * ncols
-            ).reshape(k, ncols)
-        except ValueError:
-            _raise_bad_line(path, block, linenos[rows].tolist(), ncols)
+            _raise_bad_line(path, header, first.count(",") + 1)
             raise
-        nrows += k
-    if nrows < 2:
-        raise TooShort(f"{path}: need at least 2 data rows, found {nrows}")
-    return header, data[:nrows], linenos[:nrows]
+    if len(data) < 2:
+        raise TooShort(f"{path}: need at least 2 data rows, found {len(data)}")
+    return header, data
 
 
-def _check_finite(path, data: np.ndarray, linenos: np.ndarray, cols: list[int]) -> None:
+def _check_finite(path, header, data: np.ndarray, cols: list[int]) -> None:
     bad_rows, bad_cols = np.nonzero(~np.isfinite(data[:, cols]))
     if bad_rows.size:
         r, c = bad_rows[0], cols[bad_cols[0]]
-        raise ParseError(f"{path}: line {linenos[r]}: column {c} is {data[r, c]}")
+        raise ParseError(
+            f"{path}: line {_lineno(path, header, r)}: column {c} is {data[r, c]}"
+        )
 
 
-def _uniform_step(path, t: np.ndarray, linenos: np.ndarray) -> float:
+def _uniform_step(path, header, t: np.ndarray) -> float:
     """The step of a uniform time column, to within a 1e-6 relative spread."""
     steps = np.diff(t)
     dt = float(np.median(steps))
@@ -139,7 +138,7 @@ def _uniform_step(path, t: np.ndarray, linenos: np.ndarray) -> float:
     bad = np.flatnonzero(np.abs(steps - dt) > 1e-6 * abs(dt))
     if bad.size:
         raise NonUniformSampling(
-            f"{path}: line {linenos[bad[0] + 1]}: time step "
+            f"{path}: line {_lineno(path, header, bad[0] + 1)}: time step "
             f"{float(steps[bad[0]])!r} deviates from dt={dt!r}"
         )
     return dt
@@ -175,7 +174,7 @@ def ingest_csv(
     time column in a one-column file, or the value column as the time
     column, is an error.
     """
-    header, data, linenos = _read_table(path)
+    header, data = _read_table(path)
     ncols = data.shape[1]
     no_time = time_col is not None and time_col.lower() == "none"
     if ncols == 1 and time_col is not None and not no_time:
@@ -185,12 +184,12 @@ def ingest_csv(
     v_idx = _resolve_column(path, value_col, header, ncols, 1 if use_time else 0)
     if t_idx == v_idx:
         raise ParseError(f"{path}: column {v_idx} cannot be both time and value")
-    _check_finite(path, data, linenos, [v_idx] if t_idx is None else [t_idx, v_idx])
+    _check_finite(path, header, data, [v_idx] if t_idx is None else [t_idx, v_idx])
     values = data[:, v_idx]
     if t_idx is None:
         return Signal(values, dt=1.0, t0=0.0)
     t = data[:, t_idx]
-    return Signal(values, dt=_uniform_step(path, t, linenos), t0=float(t[0]))
+    return Signal(values, dt=_uniform_step(path, header, t), t0=float(t[0]))
 
 
 def read_imfs_csv(path: str | Path) -> Decomposition:
@@ -199,12 +198,12 @@ def read_imfs_csv(path: str | Path) -> Decomposition:
     Every cell must be finite and the time column uniform, as for
     :func:`ingest_csv`.
     """
-    header, data, linenos = _read_table(path)
+    header, data = _read_table(path)
     if header is None or header[0] != "time" or header[-1] != "residual":
         raise ParseError(f"{path}: not an imfs.csv file")
-    _check_finite(path, data, linenos, list(range(data.shape[1])))
+    _check_finite(path, header, data, list(range(data.shape[1])))
     t = data[:, 0]
-    dt = _uniform_step(path, t, linenos)
+    dt = _uniform_step(path, header, t)
     residual = Signal(data[:, -1], dt=dt, t0=float(t[0]))
     imfs = tuple(
         Signal(data[:, j], dt=dt, t0=float(t[0])) for j in range(1, data.shape[1] - 1)

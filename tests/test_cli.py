@@ -84,7 +84,8 @@ class TestIngest:
 
 
 class TestBlockParser:
-    """Files longer than a row block (4096 lines) are parsed a block at a time."""
+    """Long files: the data rows go from the open file to one ``np.loadtxt``
+    call, and an error's line is found by reading the file again."""
 
     N = 9000
 
@@ -106,6 +107,7 @@ class TestBlockParser:
         ("bogus", "could not convert string to float: 'bogus'"),
         ("1.0,2.0,3.0", "expected 2 columns, got 3"),
         ("5.0", "expected 2 columns, got 1"),
+        ("1_000,2.0", "could not convert string to float: '1_000'"),
     ])
     def test_error_in_a_later_block_names_its_line(self, tmp_path, bad, message):
         lines = ["t,v", *self.rows(self.N)]
@@ -134,8 +136,41 @@ class TestBlockParser:
         finally:
             tracemalloc.stop()
         assert len(s) == 65536
-        # Rows held as Python lists of floats peaked at 17.8 MB.
-        assert peak <= 12e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        # The parsed 65536 x 2 float64 array is 1 MiB. The reader holds it,
+        # the buffer np.loadtxt grows it in and a copied column, 2.5 MiB, so
+        # 4 MiB bounds it. A list of the file's lines (about 90 bytes each)
+        # would add 5.9 MB; rows held as Python lists of floats peaked at
+        # 17.8 MB.
+        assert peak <= 4 * 65536 * 2 * 8, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    @staticmethod
+    def read(path):
+        """(samples' bytes, dt, t0) of ``path``, or its error after the name."""
+        try:
+            s = ingest_csv(path)
+        except ParseError as err:
+            return str(err).removeprefix(f"{path}: ")
+        return s.samples.tobytes(), s.dt, s.t0
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("bad, message", [
+        (None, None),
+        ("bogus,1.0", "line 9: could not convert string to float: 'bogus'"),
+        ("2.0,nan", "line 9: column 1 is nan"),
+    ])
+    def test_line_endings_read_as_newlines(self, tmp_path, end, bad, message):
+        lines = ["t,v", *self.rows(12)]
+        lines[3:3] = ["", " \t "]  # file lines 4 and 5
+        if bad is not None:
+            lines[8] = bad  # file line 9
+        twin, path = tmp_path / "lf.csv", tmp_path / "other.csv"
+        twin.write_bytes(("\n".join(lines) + "\n").encode())
+        path.write_bytes((end.join(lines) + end).encode())
+        assert self.read(path) == self.read(twin)
+        if bad is None:
+            assert len(ingest_csv(path)) == 12
+        else:
+            assert self.read(path) == message
 
 
 class TestSettingsFile:
