@@ -44,9 +44,11 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 
 # (output directory, CLI arguments); "in_long.csv" has 2048 samples, a power
 # of two, and "in_short.csv" 600, which is not, so IF's transforms run on
-# both kinds of length. "in_9k.csv" has 9000 samples, more than two blocks
-# of 4096 rows, so "if-9k" covers the block seams of parsing and writing,
-# and on a host with more than one CPU, files written by several processes.
+# both kinds of length; "in_odd.csv" has 601, so the Hilbert traces of
+# "if-odd" take the odd-length transform, which has no Nyquist bin.
+# "in_9k.csv" has 9000 samples, more than two blocks of 4096 rows, so "if-9k"
+# covers the block seams of parsing and writing, and on a host with more
+# than one CPU, files written by several processes.
 # "eemd", "eemd-1t" and "eemd-3t" differ only in --threads, so every file of
 # theirs but meta.txt (its "threads =" line) must hash the same; "eemd-3t"
 # runs 6 members on 3 workers, more than a 2-CPU host has. "emd" (reflection),
@@ -99,6 +101,8 @@ RUNS = [
     ("if-nano", ["decompose", "--method", "if", "--input", "in_nano.csv",
                  "--n-imfs", "3"]),
     ("emd-huge", ["decompose", "--method", "emd", "--input", "in_huge.csv"]),
+    ("if-odd", ["decompose", "--method", "if", "--input", "in_odd.csv",
+                "--xi", "3", "--n-imfs", "3"]),
 ]
 
 # Commands whose stdout/stderr text is part of the compared output. "short"
@@ -134,7 +138,8 @@ def versions() -> dict[str, str]:
 
 def _write_inputs() -> None:
     rng = np.random.default_rng(2017)
-    for name, n in (("in_long.csv", 2048), ("in_short.csv", 600), ("in_9k.csv", 9000)):
+    for name, n in (("in_long.csv", 2048), ("in_short.csv", 600), ("in_9k.csv", 9000),
+                    ("in_odd.csv", 601)):
         t = 0.25 + np.arange(n) / 512
         x = np.sin(2 * np.pi * 1.5 * t) + 0.5 * np.sin(2 * np.pi * 37 * t)
         x += 0.1 * rng.standard_normal(n)
@@ -188,9 +193,9 @@ def main() -> int:
         Path("texts").mkdir()
         for name, argv in TEXTS:
             (Path("texts") / name).write_text(_capture(cli_main, argv))
-        inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_tiny.csv", "in_nano.csv",
-                  "in_huge.csv", "ramp.csv", "settings.cfg", "bad.cfg", "range.cfg",
-                  "foreign.cfg", "short/imfs.csv"}
+        inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_odd.csv", "in_tiny.csv",
+                  "in_nano.csv", "in_huge.csv", "ramp.csv", "settings.cfg", "bad.cfg",
+                  "range.cfg", "foreign.cfg", "short/imfs.csv"}
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             if path.as_posix() not in inputs:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
