@@ -256,6 +256,9 @@ def run(args: argparse.Namespace, settings) -> int:
     _require_positive("--spectrum-bins", args.spectrum_bins)
     _require_positive("--threads", args.threads)
     s = ingest_csv(args.input, value_col=args.value_col, time_col=args.time_col)
+    # An --out that cannot be a directory fails here, before the decomposition.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     if args.method == "emd":
         d = emd(s, settings)
     elif args.method == "eemd":
@@ -264,8 +267,6 @@ def run(args: argparse.Namespace, settings) -> int:
         d = iterative_filtering(s, settings)
     else:
         raise ValueError(f"unknown method {args.method!r}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # Every component shares the input's time grid, so d.residual.times
     # equals s.times, the time column of every CSV file.
     plan = EmissionPlan(s.times)

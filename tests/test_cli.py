@@ -18,7 +18,7 @@ from imfkit.csvio import (
     read_meta,
 )
 from imfkit import Signal, iterative_filtering, IFSettings
-from imfkit import specfreq
+from imfkit import cli, specfreq
 
 
 def write(path: Path, text: str) -> Path:
@@ -314,6 +314,22 @@ class TestFailFast:
         assert code == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["file", "file/run"])
+    def test_bad_out_rejected_before_decomposing(
+        self, two_tone_csv, tmp_path, capsys, monkeypatch, blocked
+    ):
+        (tmp_path / "file").write_text("not a directory\n")
+        out = tmp_path / blocked
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the decomposition ran")
+
+        monkeypatch.setattr(cli, "iterative_filtering", engine)
+        code = main(["decompose", "--method", "if", "--input", str(two_tone_csv),
+                     "--out", str(out)])
+        assert code == 1
+        assert str(out) in capsys.readouterr().err
 
     def test_spectrum_bins_rejected_before_reading(self, tmp_path, capsys):
         run_dir = tmp_path / "no-such-run"

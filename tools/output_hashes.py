@@ -45,7 +45,9 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 # (output directory, CLI arguments); "in_long.csv" has 2048 samples, a power
 # of two, and "in_short.csv" 600, which is not, so IF's transforms run on
 # both kinds of length; "in_odd.csv" has 601, so the Hilbert traces of
-# "if-odd" take the odd-length transform, which has no Nyquist bin.
+# "if-odd" take the odd-length transform, which has no Nyquist bin, and
+# "in_16.csv" has 16, the fewest samples whose Hilbert traces continue the
+# signal's edges, so "if-16" runs the edge continuation on its shortest input.
 # "in_9k.csv" has 9000 samples, more than two blocks of 4096 rows, so "if-9k"
 # covers the block seams of parsing and writing, and on a host with more
 # than one CPU, files written by several processes.
@@ -103,6 +105,8 @@ RUNS = [
     ("emd-huge", ["decompose", "--method", "emd", "--input", "in_huge.csv"]),
     ("if-odd", ["decompose", "--method", "if", "--input", "in_odd.csv",
                 "--xi", "3", "--n-imfs", "3"]),
+    ("if-16", ["decompose", "--method", "if", "--input", "in_16.csv",
+               "--n-imfs", "2", "--plot"]),
 ]
 
 # Commands whose stdout/stderr text is part of the compared output. "short"
@@ -139,7 +143,7 @@ def versions() -> dict[str, str]:
 def _write_inputs() -> None:
     rng = np.random.default_rng(2017)
     for name, n in (("in_long.csv", 2048), ("in_short.csv", 600), ("in_9k.csv", 9000),
-                    ("in_odd.csv", 601)):
+                    ("in_odd.csv", 601), ("in_16.csv", 16)):
         t = 0.25 + np.arange(n) / 512
         x = np.sin(2 * np.pi * 1.5 * t) + 0.5 * np.sin(2 * np.pi * 37 * t)
         x += 0.1 * rng.standard_normal(n)
@@ -193,9 +197,9 @@ def main() -> int:
         Path("texts").mkdir()
         for name, argv in TEXTS:
             (Path("texts") / name).write_text(_capture(cli_main, argv))
-        inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_odd.csv", "in_tiny.csv",
-                  "in_nano.csv", "in_huge.csv", "ramp.csv", "settings.cfg", "bad.cfg",
-                  "range.cfg", "foreign.cfg", "short/imfs.csv"}
+        inputs = {"in_long.csv", "in_short.csv", "in_9k.csv", "in_odd.csv", "in_16.csv",
+                  "in_tiny.csv", "in_nano.csv", "in_huge.csv", "ramp.csv", "settings.cfg",
+                  "bad.cfg", "range.cfg", "foreign.cfg", "short/imfs.csv"}
         for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
             if path.as_posix() not in inputs:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
