@@ -145,8 +145,26 @@ def extrema(s: Signal) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extrema_indices(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized extrema scan on a raw array; see :func:`extrema`."""
+    """Vectorized extrema scan on a raw array; see :func:`extrema`.
+
+    Two cases give the same indices. Where no two neighbours are equal,
+    every extremum is a sample that rises into it and falls out of it (or
+    the reverse), found from the sign masks of the differences alone.
+    Otherwise :func:`_plateau_extrema` places each extremum at its
+    plateau's midpoint.
+    """
     dx = np.diff(x)
+    up = dx > 0
+    down = dx < 0
+    if np.count_nonzero(up) + np.count_nonzero(down) < dx.size:
+        return _plateau_extrema(dx)
+    idx_max = np.flatnonzero(up[:-1] & down[1:]) + 1
+    idx_min = np.flatnonzero(down[:-1] & up[1:]) + 1
+    return idx_max, idx_min
+
+
+def _plateau_extrema(dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extrema from the differences dx of a signal that may hold plateaus."""
     nz = np.flatnonzero(dx != 0)
     if nz.size < 2:
         empty = np.empty(0, dtype=np.intp)
@@ -265,12 +283,13 @@ def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
     dgtsv = _lapack().dgtsv
 
     m = pos.size
-    dx = np.diff(pos)
+    # The knot gaps between two zeros: d's end entries are 2 * (0 + gap),
+    # the same values as 2 * gap.
+    gaps = np.zeros(m + 1)
+    dx = np.subtract(pos[1:], pos[:-1], out=gaps[1:-1])
     slope = np.diff(val) / dx
-    d = np.empty(m)
-    d[0] = 2 * dx[0]
-    d[1:-1] = 2 * (dx[:-1] + dx[1:])
-    d[-1] = 2 * dx[-1]
+    d = gaps[:-1] + gaps[1:]
+    d *= 2
     b = np.empty(m)
     b[0] = 3 * (val[1] - val[0])
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
@@ -283,17 +302,22 @@ def _natural_spline(pos: np.ndarray, val: np.ndarray, n: int) -> np.ndarray:
     )
     if info != 0:
         raise np.linalg.LinAlgError("singular spline system")
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    t = s[:-1] + s[1:]
+    t -= 2 * slope
+    t /= dx
     coef = np.empty((5, m - 1))
-    coef[0] = t / dx
-    coef[1] = (slope - s[:-1]) / dx - t
+    np.divide(t, dx, out=coef[0])
+    np.subtract(slope, s[:-1], out=coef[1])
+    coef[1] /= dx
+    coef[1] -= t
     coef[2] = s[:-1]
     coef[3] = val[:-1]
     coef[4] = pos[:-1]
     edges = np.clip(pos, 0, n).astype(np.intp)
     edges[-1] = n
-    c0, c1, c2, c3, start = np.repeat(coef, np.diff(edges), axis=1)
-    u = np.arange(n) - start
+    c0, c1, c2, c3, u = np.repeat(coef, np.diff(edges), axis=1)
+    # u is each sample's knot position until it becomes the offset from it.
+    np.subtract(np.arange(n, dtype=np.float64), u, out=u)
     uu = u * u
     # scipy's ((0.0 + c3) + c2*u) + c1*u**2 + c0*u**3, step by step in the
     # rows np.repeat returned: the same operations in the same order.

@@ -225,6 +225,10 @@ def read_meta(path: str | Path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # Writing
 
+# ``repr(float(v))`` of False and True, indexed by the bool's byte.
+_BOOL_TEXT = np.array(["0.0", "1.0"], dtype=object)
+
+
 def _format_column(values) -> list[str]:
     """``repr(float(v))`` of every value of a 1-D array, as float64.
 
@@ -234,7 +238,12 @@ def _format_column(values) -> list[str]:
     other magnitudes in another style (``0.00001``, ``4.6e-6`` and ``1e16``
     for ``repr``'s ``1e-05``, ``4.6e-06`` and ``1e+16``), and nan and inf
     as ``null``; those cells, rare in practice, are formatted by ``repr``.
+    A bool array, such as a trace's valid mask, takes its cells from the
+    two texts of 0.0 and 1.0.
     """
+    values = np.asarray(values)
+    if values.dtype == bool:
+        return _BOOL_TEXT[values.view(np.uint8)].tolist()
     a = np.ascontiguousarray(values, dtype=np.float64)
     if not a.size:
         return []

@@ -2,12 +2,16 @@
 
 Each ensemble member decomposes the signal plus an independent white
 Gaussian noise realization whose standard deviation is ``nstd`` times the
-signal's. Members may run on worker processes forked by
-:func:`imfkit.core._forked_map`, which inherit the member task instead of
-being sent it; only the IMF rows each member found, at most the fixed
-component count, and its residual come back. Member IMFs are averaged in
-member order as if zero-padded to that count, which makes the result
-independent of how many worker processes computed the members.
+signal's. The members form at most ``_BLOCKS`` contiguous blocks, whose
+bounds depend on the member count alone. Blocks may run on worker
+processes forked by :func:`imfkit.core._forked_map`, which inherit the
+block task instead of being sent it. A block sums its members' IMFs in
+member order, as if zero-padded to the fixed component count, and sends
+back only the rows its members found, with the sum of their residuals;
+the block sums are then added in block order. That makes the result
+independent of how many worker processes computed the blocks, and with
+at most ``_BLOCKS`` members every block is one member, so the mean is the
+plain in-order mean over the members.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ from .core import (
     _lapack,
 )
 from .emd import EMDSettings, emd
+
+# The members are summed in at most this many contiguous blocks, one forked
+# task each, so at most this many (K + 1) x n sums come back to the caller
+# however many members there are.
+_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -101,18 +110,64 @@ def _member(
     return imfs, residual, [(m.inner_iterations, m.stop_reason) for m in d.meta[:found]]
 
 
+def _sum_parts(parts) -> tuple[np.ndarray, np.ndarray, list[tuple[int, StopReason]]]:
+    """In-order sum of (IMF rows, residual, stats) parts, as if zero-padded.
+
+    The sums start from the first part's arrays and grow to the most rows
+    any part has. Rows a part lacks get 0.0 added, as its zero rows would
+    have, which turns a -0.0 sum into 0.0. Row i's stats are the most
+    inner iterations of the parts that have the row, and DELTA_REACHED only
+    if all of them reached delta. Each part is added as it arrives and
+    dropped before the next, so at most one part is held beside the sums.
+    """
+    parts = iter(parts)
+    imfs, residual, first = next(parts)
+    stats = list(first)
+    for rows, part_residual, part_stats in parts:
+        if len(rows) > len(imfs):
+            grown = np.zeros(rows.shape)
+            grown[: len(imfs)] = imfs
+            imfs = grown
+        imfs[: len(rows)] += rows
+        imfs[len(rows) :] += 0.0
+        residual += part_residual
+        for i, (iterations, reason) in enumerate(part_stats):
+            if i == len(stats):
+                stats.append((iterations, reason))
+            else:
+                most, stop = stats[i]
+                if reason is not StopReason.DELTA_REACHED:
+                    stop = reason
+                stats[i] = (max(most, iterations), stop)
+        del rows, part_residual
+    return imfs, residual, stats
+
+
+def _block(
+    s: Signal, cfg: EEMDSettings, num_imfs: int, ne: int, b: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, StopReason]]]:
+    """The members ne*b//B .. ne*(b+1)//B - 1, summed by :func:`_sum_parts`,
+    where B = min(ne, _BLOCKS); a one-member block is that member."""
+    blocks = min(ne, _BLOCKS)
+    members = range(ne * b // blocks, ne * (b + 1) // blocks)
+    return _sum_parts(_member(s, cfg, num_imfs, k) for k in members)
+
+
 def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomposition:
     """Ensemble-averaged EMD decomposition.
 
-    ``threads`` is the number of worker processes that compute members,
-    capped at ``min(threads, cfg.ne)``. With more than one, workers are
-    forked from the calling process, so call it with more than one only
-    from a process that runs no other threads. With one, members run in
-    the calling process. The averaged result is bit-identical for any
-    worker count because member noise streams depend only on (seed,
-    member index) and the reduction is a fixed-order mean over members.
-    Averaged components are reported as-is, without re-sifting, so they
-    need not be exact IMFs themselves.
+    ``threads`` is the number of worker processes that compute blocks of
+    members, capped at the block count ``min(cfg.ne, _BLOCKS)``. With more
+    than one, workers are forked from the calling process, so call it with
+    more than one only from a process that runs no other threads. With one,
+    members run in the calling process. The averaged result is
+    bit-identical for any worker count because member noise streams depend
+    only on (seed, member index), the block bounds only on ``cfg.ne``, and
+    the reduction sums members in member order within each block and the
+    blocks in block order. With at most ``_BLOCKS`` members, each block is
+    one member and this is the in-order mean over the members. Averaged
+    components are reported as-is, without re-sifting, so they need not be
+    exact IMFs themselves.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1 (got {threads})")
@@ -126,42 +181,22 @@ def eemd(s: Signal, cfg: EEMDSettings | None = None, threads: int = 1) -> Decomp
     # each loading scipy and the wrapper itself (~20 ms each on a 2-core x86
     # host).
     _lapack()
-    results = _forked_map(partial(_member, s, cfg, num_imfs), ne, threads)
-    # Running sums of the zero-padded members in member order, started from
-    # member 0's arrays, without holding the members. A member sends only
-    # the IMF rows it found; adding 0.0 to the rows it lacks stands in for
-    # its zero rows, which turn a -0.0 sum into 0.0. This equals np.mean
-    # over the padded members bit for bit, except at a sample that is -0.0
-    # in every member: the sum keeps -0.0 there, while numpy's sum over
-    # axis 0 starts from +0.0 and gives 0.0.
-    rows, residual, stats = next(results)
-    imfs = np.zeros((num_imfs, len(s)))
-    imfs[: len(rows)] = rows
-    member_stats = [stats]
-    for rows, member_residual, stats in results:
-        imfs[: len(rows)] += rows
-        imfs[len(rows) :] += 0.0
-        residual += member_residual
-        member_stats.append(stats)
+    # Block sums, added in block order, without holding the blocks. A block
+    # sends back only the IMF rows its members found; the rows it lacks
+    # add 0.0, as its zero rows would. This equals, bit for bit, np.mean
+    # over the zero-padded members when there are at most _BLOCKS of them,
+    # except at a sample that is -0.0 in every member: the sum keeps -0.0
+    # there, while numpy's sum over axis 0 starts from +0.0 and gives 0.0.
+    blocks = _forked_map(partial(_block, s, cfg, num_imfs, ne), min(ne, _BLOCKS), threads)
+    imfs, residual, stats = _sum_parts(blocks)
     imfs /= ne
     residual /= ne
-
-    meta = []
-    for i in range(num_imfs):
-        contrib = [st[i] for st in member_stats if len(st) > i]
-        if contrib:
-            iterations = max(it for it, _ in contrib)
-            reason = (
-                StopReason.DELTA_REACHED
-                if all(r is StopReason.DELTA_REACHED for _, r in contrib)
-                else StopReason.MAX_INNER_REACHED
-            )
-        else:
-            iterations, reason = 0, StopReason.DELTA_REACHED
-        meta.append(ImfMeta(inner_iterations=iterations, stop_reason=reason))
-
+    # The components no member found are zero, as their mean would be.
+    zeros = np.zeros((num_imfs - len(imfs), len(s)))
+    meta = [ImfMeta(inner_iterations=it, stop_reason=reason) for it, reason in stats]
+    meta += [ImfMeta(0, StopReason.DELTA_REACHED)] * len(zeros)
     return Decomposition(
-        imfs=tuple(s.with_samples(imfs[i]) for i in range(num_imfs)),
+        imfs=tuple(s.with_samples(row) for row in (*imfs, *zeros)),
         residual=s.with_samples(residual),
         meta=tuple(meta),
     )

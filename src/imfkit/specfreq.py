@@ -14,7 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Decomposition, Signal, _extrema_indices, _natural_spline
+from .core import (
+    Decomposition,
+    Signal,
+    _extrema_indices,
+    _natural_spline,
+    _unit_scaled,
+)
 
 BOUNDARY_FRACTION = 0.05
 AMPLITUDE_FLOOR = 1e-8
@@ -214,14 +220,17 @@ def hilbert_if(s: Signal) -> IFTrace:
     ``_stabilized_analytic_arr``), which suppresses the periodic-seam
     leakage of the plain FFT construction (``_analytic_arr``). Both take
     the Hilbert transform by one real-input FFT pair; below 16 samples, or
-    for an all-zero signal, the plain one is used.
+    for an all-zero signal, the plain one is used. The transforms run on
+    the signal scaled by a power of two to a peak in [0.5, 1), so they
+    cannot overflow for any finite input.
     """
     if len(s) < MIN_IF_SAMPLES:
         raise ValueError(
             f"instantaneous frequency needs at least {MIN_IF_SAMPLES} samples"
         )
-    z = _stabilized_analytic_arr(s.samples)
-    amplitude = np.abs(z)
+    x, exp = _unit_scaled(s.samples)  # exact: the phase keeps every bit
+    z = _stabilized_analytic_arr(x)
+    amplitude = np.ldexp(np.abs(z), exp)
     phase = np.unwrap(np.angle(z))
     n = phase.size
     freq = np.empty(n)

@@ -65,6 +65,9 @@ def test_notation_boundaries_and_extremes():
 def test_other_inputs_are_read_as_float64():
     mask = np.array([True, False, False, True])
     assert _format_column(mask) == ["1.0", "0.0", "0.0", "1.0"]
+    mask = np.random.default_rng(3).random(5000) > 0.3
+    for view in (mask, mask[4096:], mask[1::7], mask[:0]):
+        assert_repr(view)
     strided = np.linspace(-3.0, 7.0, 41)[::3]
     assert_repr(strided)
     single = np.float32([0.1, 1e-5, 3.4e38, -2.5])

@@ -313,6 +313,36 @@ class TestHilbertIfContract:
                     err = np.abs(got.frequency.samples - freq).max()
                     assert err <= 1e-10 * np.abs(freq).max()
 
+    def test_power_of_two_scales_keep_every_bit(self, rng):
+        # The trace is taken on the input scaled to a unit peak by a power
+        # of two, so such a scale reaches only the amplitude, exactly, even
+        # at 2**1000, where the transforms of the unscaled input are near
+        # overflow.
+        for n in (16, 601, 4096):
+            for x in _contract_signals(n, rng):
+                ref = hilbert_if(Signal(x))
+                for e in (1000, -1000):
+                    got = hilbert_if(Signal(np.ldexp(x, e)))
+                    assert np.array_equal(got.valid_mask, ref.valid_mask)
+                    assert np.array_equal(
+                        got.amplitude.samples, np.ldexp(ref.amplitude.samples, e)
+                    )
+                    assert np.array_equal(got.frequency.samples, ref.frequency.samples)
+
+    def test_tone_near_the_float64_limit(self):
+        # A 6e304 peak overflows an unscaled transform of the ~2n extended
+        # points; the trace must stay finite and match the unit tone's.
+        n = 4096
+        x = np.cos(2 * np.pi * 37.3 * np.arange(n) / n)
+        ref = hilbert_if(Signal(x, dt=1.0 / n))
+        got = hilbert_if(Signal(6e304 * x, dt=1.0 / n))
+        assert np.all(np.isfinite(got.amplitude.samples))
+        assert np.array_equal(got.valid_mask, ref.valid_mask)
+        err = np.abs(got.amplitude.samples / 6e304 - ref.amplitude.samples).max()
+        assert err <= 1e-12
+        err = np.abs(got.frequency.samples - ref.frequency.samples).max()
+        assert err <= 1e-10 * 37.3
+
     @pytest.mark.parametrize(
         "cycles, bound",
         [(5, 5e-3), (12.5, 1e-4), (37.3, 2e-5), (200.5, 1e-7), (1000.25, 1e-9)],

@@ -41,6 +41,8 @@ FOREIGN_SETTINGS = "IF.NIMFs = 3\nEEMD.Ne = 5\n"
 
 EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
         "--ne", "6", "--seed", "3", "--plot"]
+EEMD_40 = ["decompose", "--method", "eemd", "--input", "in_short.csv",
+           "--ne", "40", "--seed", "3"]
 
 # (output directory, CLI arguments); "in_long.csv" has 2048 samples, a power
 # of two, and "in_short.csv" 600, which is not, so IF's transforms run on
@@ -53,7 +55,9 @@ EEMD = ["decompose", "--method", "eemd", "--input", "in_short.csv",
 # than one CPU, files written by several processes.
 # "eemd", "eemd-1t" and "eemd-3t" differ only in --threads, so every file of
 # theirs but meta.txt (its "threads =" line) must hash the same; "eemd-3t"
-# runs 6 members on 3 workers, more than a 2-CPU host has. "emd" (reflection),
+# runs 6 members on 3 workers, more than a 2-CPU host has. "eemd-40",
+# "eemd-40-2t" and "eemd-40-3t" likewise differ only in --threads; their 40
+# members form 16 blocks of 2 or 3, summed block by block. "emd" (reflection),
 # "emd-constant" and "emd-deriv" (periodic) cover the three envelope
 # boundary modes. "if-bins1" draws a one-bin heat map; "emd-tiny" runs on
 # the 200 samples of "in_tiny.csv", so its heat map is drawn without pooling.
@@ -72,6 +76,9 @@ RUNS = [
     ("eemd", [*EEMD, "--threads", "2"]),
     ("eemd-1t", [*EEMD, "--threads", "1"]),
     ("eemd-3t", [*EEMD, "--threads", "3"]),
+    ("eemd-40", [*EEMD_40, "--threads", "1"]),
+    ("eemd-40-2t", [*EEMD_40, "--threads", "2"]),
+    ("eemd-40-3t", [*EEMD_40, "--threads", "3"]),
     ("eemd-deriv", ["decompose", "--method", "eemd", "--input", "in_short.csv",
                     "--ne", "4", "--nstd", "0.1", "--num-imfs", "4",
                     "--estimator", "derivative", "--spectrum-bins", "40"]),
