@@ -212,16 +212,6 @@ def read_imfs_csv(path: str | Path) -> Decomposition:
     return Decomposition(imfs=imfs, residual=residual, meta=meta)
 
 
-def read_meta(path: str | Path) -> dict[str, str]:
-    """Parse a meta.txt back into a key -> value-string mapping."""
-    result = {}
-    for line in Path(path).read_text().splitlines():
-        if " = " in line:
-            key, value = line.split(" = ", 1)
-            result[key.strip()] = value.strip()
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Writing
 

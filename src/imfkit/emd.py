@@ -180,6 +180,9 @@ def emd(s: Signal, cfg: EMDSettings | None = None) -> Decomposition:
     IMFs are extracted and subtracted from the remainder until it has
     fewer than ``cfg.min_extrema`` extrema (or fewer than two maxima or
     two minima, where envelopes degenerate), or ``cfg.max_imfs`` is hit.
+    It also ends when the remainder's extrema lie only in bits that scaling
+    it to a peak in [0.5, 1) flushes to zero, as in ``[0, 5e-324, -1, 0,
+    -5e-324, 0]``; the remainder is then the residual.
     The subtraction chain telescopes, so the components always sum back
     to the input up to rounding.
     """
@@ -192,7 +195,10 @@ def emd(s: Signal, cfg: EMDSettings | None = None) -> Decomposition:
         count = idx_max.size + idx_min.size
         if count < cfg.min_extrema or idx_max.size < 2 or idx_min.size < 2:
             break
-        imf, iterations, reason = _extract_imf_arr(x, cfg, (idx_max, idx_min))
+        try:
+            imf, iterations, reason = _extract_imf_arr(x, cfg, (idx_max, idx_min))
+        except TooFewExtrema:  # the extrema were in bits the unit scaling flushes
+            break
         imfs.append(imf)
         meta.append(ImfMeta(inner_iterations=iterations, stop_reason=reason))
         x = x - imf

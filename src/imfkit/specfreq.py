@@ -59,8 +59,8 @@ class TimeFrequencyGrid:
     ``bins[k]`` is ``values[k]``; every other cell of the grid is zero. The
     cells are distinct and in row-major order, so a grid costs memory in
     proportion to its cells (at most one per IMF and time sample), not to
-    len(times) x nbins. :meth:`from_dense` keeps a dense matrix's nonzero
-    entries.
+    len(times) x nbins. The dense :attr:`amplitude` matrix, len(times) x
+    nbins x 8 bytes, is kept for the benchmark's span tracer.
     """
 
     times: np.ndarray
@@ -89,24 +89,9 @@ class TimeFrequencyGrid:
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_dense(
-        cls, times: np.ndarray, freqs: np.ndarray, amplitude: np.ndarray
-    ) -> "TimeFrequencyGrid":
-        """The grid of a dense (len(times), len(freqs) - 1) matrix's nonzero cells."""
-        if amplitude.shape != (times.size, freqs.size - 1):
-            raise ValueError("amplitude must be (len(times), len(freqs)-1)")
-        rows, bins = np.nonzero(amplitude)
-        return cls(times, freqs, rows, bins, amplitude[rows, bins])
-
     @property
     def amplitude(self) -> np.ndarray:
-        """The dense (len(times), nbins) matrix, built anew on every access.
-
-        It takes len(times) x nbins x 8 bytes (1 GiB at 2**20 samples and
-        128 bins); code that can work from ``rows``, ``bins`` and
-        ``values`` should.
-        """
+        """The dense (len(times), nbins) matrix, built anew on every access."""
         a = np.zeros((self.times.size, self.freqs.size - 1))
         a[self.rows, self.bins] = self.values
         return a
@@ -173,12 +158,11 @@ def _stabilized_analytic_arr(x: np.ndarray) -> np.ndarray:
     the reversed signal, whose analytic signal is the conjugate reversed),
     cosine-tapered to zero over the extension, and transforms the extended
     signal. Only the original window is kept, whose real part is x itself.
-    A pass whose transform overflows is not used, and none runs when the
-    plain transform overflows.
+    The caller scales x to a peak in [0.5, 1), so no transform overflows.
     """
     n = x.size
     z = _analytic_arr(x)
-    if n < 16 or not np.any(x) or not np.all(np.isfinite(z)):
+    if n < 16 or not np.any(x):
         return z
     ext = n // 2
     ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(ext) / ext)
@@ -186,10 +170,7 @@ def _stabilized_analytic_arr(x: np.ndarray) -> np.ndarray:
         left = _left_tone(x, z, ext)
         right = _left_tone(x[::-1], z[::-1].conj(), ext)[::-1]
         xe = np.concatenate([left * ramp, x, right * ramp[::-1]])
-        ze = _analytic_arr(xe)[ext : ext + n]
-        if not np.all(np.isfinite(ze)):
-            break
-        z = ze
+        z = _analytic_arr(xe)[ext : ext + n]
     return z
 
 
@@ -205,6 +186,15 @@ def _base_valid_mask(amplitude: np.ndarray) -> np.ndarray:
     else:
         valid &= amplitude >= AMPLITUDE_FLOOR * peak
     return valid
+
+
+def _trace(s: Signal, amplitude: np.ndarray, freq: np.ndarray) -> IFTrace:
+    """The trace of s with these samples, masked by ``_base_valid_mask``."""
+    return IFTrace(
+        amplitude=s.with_samples(amplitude),
+        frequency=s.with_samples(freq),
+        valid_mask=_base_valid_mask(amplitude),
+    )
 
 
 def hilbert_if(s: Signal) -> IFTrace:
@@ -237,12 +227,7 @@ def hilbert_if(s: Signal) -> IFTrace:
     freq[1:-1] = (phase[2:] - phase[:-2]) / (4.0 * np.pi * s.dt)
     freq[0] = (phase[1] - phase[0]) / (2.0 * np.pi * s.dt)
     freq[-1] = (phase[-1] - phase[-2]) / (2.0 * np.pi * s.dt)
-    valid = _base_valid_mask(amplitude)
-    return IFTrace(
-        amplitude=s.with_samples(amplitude),
-        frequency=s.with_samples(freq),
-        valid_mask=valid,
-    )
+    return _trace(s, amplitude, freq)
 
 
 def _abs_envelope(x: np.ndarray) -> np.ndarray:
@@ -283,10 +268,7 @@ def derivative_if(s: Signal) -> IFTrace:
     n = x.size
     peak = float(np.abs(x).max())
     if peak == 0.0:
-        zero = s.with_samples(np.zeros(n))
-        return IFTrace(
-            amplitude=zero, frequency=zero, valid_mask=np.zeros(n, dtype=bool)
-        )
+        return _trace(s, np.zeros(n), np.zeros(n))
     amplitude = _abs_envelope(x)
     d2 = np.zeros(n)
     d2[1:-1] = (x[2:] - 2.0 * x[1:-1] + x[:-2]) / (s.dt * s.dt)
@@ -302,12 +284,7 @@ def derivative_if(s: Signal) -> IFTrace:
         freq = np.zeros(n)
     else:
         freq = np.interp(np.arange(n), idx_ok, est[idx_ok])
-    valid = _base_valid_mask(amplitude)
-    return IFTrace(
-        amplitude=s.with_samples(amplitude),
-        frequency=s.with_samples(freq),
-        valid_mask=valid,
-    )
+    return _trace(s, amplitude, freq)
 
 
 _ESTIMATORS = {"hilbert": hilbert_if, "derivative": derivative_if}

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import imfkit as ik
-from imfkit.csvio import ingest_csv, read_meta
+from imfkit.csvio import ingest_csv
 from imfkit.iterfilt import _circular_embed
 from conftest import central_correlation, two_tone
+from helpers import read_meta
 
 SEED = 20260811
 

@@ -15,10 +15,11 @@ from imfkit.csvio import (
     TooShort,
     ingest_csv,
     read_imfs_csv,
-    read_meta,
 )
 from imfkit import Signal, iterative_filtering, IFSettings
 from imfkit import cli, specfreq
+
+from helpers import read_meta
 
 
 def write(path: Path, text: str) -> Path:

@@ -7,7 +7,7 @@ import importlib
 import numpy as np
 import pytest
 
-from imfkit import EMDSettings, IFSettings, Signal, emd
+from imfkit import BoundaryExtension, EMDSettings, IFSettings, Signal, emd
 from imfkit import if_extract, iterative_filtering, mask_length
 from imfkit.core import _extrema_indices, _unit_scaled
 
@@ -70,6 +70,16 @@ def test_inexact_scaling_rescans_with_the_same_bits(monkeypatch):
     assert len(d.imfs) >= 2
     assert bits(d) == bits(d_rescan)
     assert scans > rescans - len(d.imfs)  # at least one IMF rescanned
+
+
+@pytest.mark.parametrize("mode", list(BoundaryExtension), ids=lambda m: m.value)
+def test_extrema_only_in_flushed_bits_end_the_decomposition(mode):
+    # Two maxima and two minima, but halving the samples into [0.5, 1)
+    # flushes +-5e-324 to zero, which leaves the sifted copy one maximum.
+    x = np.array([0.0, 5e-324, -1.0, 0.0, -5e-324, 0.0])
+    d = emd(Signal(x), EMDSettings(boundary=mode))
+    assert d.imfs == ()
+    assert np.array_equal(d.residual.samples, x)
 
 
 def test_if_scans_each_remainder_once(monkeypatch):

@@ -22,6 +22,8 @@ from imfkit import (
 from imfkit.csvio import _format_column, _write_spectrum_csv
 from imfkit.specfreq import _ESTIMATORS
 
+from helpers import grid_from_dense
+
 
 def dense_oracle(d, nbins, traces, weight="amplitude"):
     """The grid deposited IMF by IMF into a dense zeroed array."""
@@ -125,7 +127,7 @@ def test_all_invalid_traces_give_a_grid_without_cells():
 def test_dense_constructor_keeps_nonzero_cells():
     a = np.zeros((5, 4))
     a[[0, 0, 3, 4], [3, 1, 0, 3]] = [2.0, 1.5, 1e-300, 7.0]
-    grid = TimeFrequencyGrid.from_dense(np.arange(5.0), np.arange(5.0), a)
+    grid = grid_from_dense(np.arange(5.0), np.arange(5.0), a)
     assert grid.rows.tolist() == [0, 0, 3, 4]
     assert grid.bins.tolist() == [1, 3, 0, 3]
     assert grid.values.tolist() == [1.5, 2.0, 1e-300, 7.0]

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imfkit import (
     Decomposition,
@@ -281,6 +283,40 @@ def _contract_signals(n: int, rng) -> list[np.ndarray]:
     ]
 
 
+def _edge_case_shapes(n: int, rng) -> dict[str, np.ndarray]:
+    """Unit-scale inputs that stress the transforms and the tone continuation."""
+    k = np.arange(n, dtype=np.float64)
+    spike = np.zeros(n)
+    spike[rng.integers(n)] = 1.0
+    step = (k >= rng.integers(1, n)).astype(np.float64)
+    noise = rng.standard_normal(n)
+    tail = rng.integers(1, n)
+    noise[tail:] = np.ldexp(rng.integers(-(2**20), 2**20, n - tail), -1074)
+    return {
+        "spike": spike,
+        "step": step,
+        "alternating": (-1.0) ** k,
+        "near_constant": 1.0 + 1e-12 * np.cos(0.3 * k),
+        "slow_tone": np.cos(1e-7 * k + rng.uniform(0, 2 * np.pi)),  # below the 1e-6 floor
+        "near_nyquist": np.cos((np.pi - 1e-3) * k + rng.uniform(0, 2 * np.pi)),
+        "ramp": k,
+        "subnormal_tail": noise,
+    }
+
+
+@st.composite
+def _scaled_edge_cases(draw):
+    """One shape of n = 16-700 samples, scaled by m * 2**e, 1 <= m < 2, |e| <= 1000."""
+    n = draw(st.integers(16, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    name, x = draw(st.sampled_from(sorted(_edge_case_shapes(n, rng).items())))
+    scale = np.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(-1000, 1000)))
+    if name == "subnormal_tail":  # the tail stays subnormal whatever the scale
+        head = np.abs(x) >= 2.0**-1022
+        return name, np.where(head, x * scale, x)
+    return name, x * scale
+
+
 class TestHilbertIfContract:
     """Properties of hilbert_if that hold whatever its edge continuation is."""
 
@@ -342,6 +378,16 @@ class TestHilbertIfContract:
         assert err <= 1e-12
         err = np.abs(got.frequency.samples - ref.frequency.samples).max()
         assert err <= 1e-10 * 37.3
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_scaled_edge_cases())
+    def test_finite_on_edge_cases_at_any_scale(self, case):
+        # The transforms run on the input scaled to a peak in [0.5, 1), so
+        # none of them may overflow, whatever the shape and the scale.
+        name, x = case
+        trace = hilbert_if(Signal(x))
+        assert np.all(np.isfinite(trace.amplitude.samples)), name
+        assert np.all(np.isfinite(trace.frequency.samples)), name
 
     @pytest.mark.parametrize(
         "cycles, bound",

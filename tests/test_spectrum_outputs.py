@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from imfkit.csvio import _format_column, _write_spectrum_csv
-from imfkit.specfreq import TimeFrequencyGrid
 from imfkit.svgplot import _fmt, render_spectrum_svg
+
+from helpers import grid_from_dense
 
 _STOPS = np.array([[255, 255, 255], [245, 166, 35], [122, 11, 11]], dtype=float)
 
@@ -87,7 +88,7 @@ def assert_same_svg(grid):
 
 def _grid(amplitude, dt=0.01):
     n, nbins = amplitude.shape
-    return TimeFrequencyGrid.from_dense(
+    return grid_from_dense(
         0.5 + np.arange(n) * dt, np.linspace(0.0, 0.5 / dt, nbins + 1), amplitude
     )
 
