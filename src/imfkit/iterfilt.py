@@ -239,6 +239,30 @@ def _if_extract_loop(
     return cur, iterations, reason
 
 
+# Weight sums above this hold a mode far from the subnormal range.
+_NORMAL_SUM = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _periodic_cannot_stop(energy: np.ndarray, g: np.ndarray, delta: float, k: int) -> bool:
+    """Whether no test of the periodic scan, from the current one to the one
+    k iterations later, can find the ratio below ``delta``.
+
+    The squared ratio after i iterations is the mean of g^2 over the modes,
+    weighted by ``energy * h^(2i)`` with h = 1 - g. Each iteration tilts the
+    weights by h^2, which falls as g rises while g^2 rises, so for g in
+    [0, 1] the mean cannot increase (Chebyshev's sum inequality), and the
+    last test decides. Its weights are taken by ``np.power``, and it is
+    compared with a 1e-6 relative margin above ``delta``, far above the
+    rounding of the gain (g lies in [-eps, 1 + eps]) and the difference
+    between ``np.power`` and the scan's sequential products and sums. A
+    weight sum near the subnormal range, where the scan's products could
+    flush to zero, never decides.
+    """
+    last = energy * np.power((1.0 - g) ** 2, k)
+    num2, den2 = float(np.einsum("i,i->", last, g * g)), float(last.sum())
+    return den2 > _NORMAL_SUM and math.sqrt(num2) > delta * (1.0 + 1e-6) * math.sqrt(den2)
+
+
 def _if_extract_spectral(
     cur: np.ndarray,
     g: np.ndarray,
@@ -257,7 +281,10 @@ def _if_extract_spectral(
     the two end samples are sums over the modes too. The stop index comes
     from a scan over vectors of N//2+1 entries, and the result from one
     inverse transform and one step of the moving average itself. ``g`` is
-    the mask's gain (:func:`mask_gain`) on the N-point grid.
+    the mask's gain (:func:`mask_gain`) on the N-point grid. A periodic
+    scan whose ratio cannot fall below ``delta`` in time
+    (:func:`_periodic_cannot_stop`) skips its tests and forms only the
+    decay.
     """
     n = cur.size
     reflect = extension is BoundaryExtension.REFLECTION
@@ -282,7 +309,13 @@ def _if_extract_spectral(
         ends = np.stack([first, last, first * g, last * g])
     iterations = 0
     reason = StopReason.MAX_INNER_REACHED
-    while True:
+    if not reflect and _periodic_cannot_stop(energy, g, delta, steps - 1):
+        # The scan would run to its end; build its decay, h^(steps-1), by
+        # the same sequence of products, so the IMF keeps its bits.
+        for _ in range(steps - 1):
+            decay *= h
+        iterations = steps
+    while iterations < steps:
         iterations += 1
         den2 = float(energy.sum())
         num2 = float(np.einsum("i,i->", energy, g2))

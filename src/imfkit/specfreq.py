@@ -97,6 +97,11 @@ class TimeFrequencyGrid:
         return a
 
 
+def _edge_len(n: int) -> int:
+    """Samples in each boundary band of n: ceil(BOUNDARY_FRACTION * n), at least 1."""
+    return max(1, int(np.ceil(BOUNDARY_FRACTION * n)))
+
+
 def _analytic_arr(x: np.ndarray) -> np.ndarray:
     """One-sided-spectrum analytic signal of x, without edge extension.
 
@@ -131,11 +136,13 @@ def _left_tone(x: np.ndarray, z: np.ndarray, ext: int) -> np.ndarray:
     The tone's frequency, in radians per sample, is read from ``z``, the
     current analytic signal of x: the centred difference of its unwrapped
     phase over the 5-15% window, fitted by a line evaluated at sample 0,
-    floored at 1e-6. Its amplitude and phase, ``c*cos(w*k) + s*sin(w*k)``,
-    are fitted by least squares to the first min(64, n // 2) samples.
+    floored at 1e-6; ``z`` may hold just the first 3 * _edge_len(n) + 1
+    samples, the ones read. Its amplitude and phase,
+    ``c*cos(w*k) + s*sin(w*k)``, are fitted by least squares to the first
+    min(64, n // 2) samples.
     """
     n = x.size
-    lo = max(1, int(np.ceil(BOUNDARY_FRACTION * n)))
+    lo = _edge_len(n)
     k = np.arange(lo, 3 * lo)
     phase = np.unwrap(np.angle(z[: 3 * lo + 1]))
     _, w = np.polyfit(k, 0.5 * (phase[k + 1] - phase[k - 1]), 1)
@@ -166,9 +173,10 @@ def _stabilized_analytic_arr(x: np.ndarray) -> np.ndarray:
         return z
     ext = n // 2
     ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(ext) / ext)
+    head = 3 * _edge_len(n) + 1  # the samples of z that _left_tone reads
     for _ in range(_TONE_PASSES):
         left = _left_tone(x, z, ext)
-        right = _left_tone(x[::-1], z[::-1].conj(), ext)[::-1]
+        right = _left_tone(x[::-1], z[::-1][:head].conj(), ext)[::-1]
         xe = np.concatenate([left * ramp, x, right * ramp[::-1]])
         z = _analytic_arr(xe)[ext : ext + n]
     return z
@@ -177,7 +185,7 @@ def _stabilized_analytic_arr(x: np.ndarray) -> np.ndarray:
 def _base_valid_mask(amplitude: np.ndarray) -> np.ndarray:
     n = amplitude.size
     valid = np.ones(n, dtype=bool)
-    edge = max(1, int(np.ceil(BOUNDARY_FRACTION * n)))
+    edge = _edge_len(n)
     valid[:edge] = False
     valid[n - edge :] = False
     peak = float(amplitude.max())

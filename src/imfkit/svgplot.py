@@ -41,16 +41,26 @@ def _document(height: int, body: list[str]) -> str:
 
 
 def _downsample_line(t: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bucketed min/max downsampling; preserves the drawn envelope."""
+    """Bucketed min/max downsampling; preserves the drawn envelope.
+
+    Above _MAX_LINE_POINTS samples, each of _MAX_LINE_POINTS // 2 buckets of
+    consecutive samples keeps the first sample at its minimum and the first
+    at its maximum (as ``np.argmin``/``np.argmax`` pick them), in index
+    order. The samples are finite (``Signal`` checks), so each bucket's
+    extreme equals at least one of its samples.
+    """
     n = y.size
     if n <= _MAX_LINE_POINTS:
         return t, y
-    nbuckets = _MAX_LINE_POINTS // 2
-    edges = np.linspace(0, n, nbuckets + 1).astype(int)
-    idx: list[int] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        seg = y[a:b]
-        idx += sorted((a + int(np.argmin(seg)), a + int(np.argmax(seg))))
+    edges = np.linspace(0, n, _MAX_LINE_POINTS // 2 + 1).astype(int)
+    starts, counts = edges[:-1], np.diff(edges)
+
+    def first_hits(extreme: np.ufunc) -> np.ndarray:
+        hits = np.flatnonzero(y == np.repeat(extreme.reduceat(y, starts), counts))
+        return hits[np.searchsorted(hits, starts)]
+
+    lo, hi = first_hits(np.minimum), first_hits(np.maximum)
+    idx = np.column_stack([np.minimum(lo, hi), np.maximum(lo, hi)]).ravel()
     return t[idx], y[idx]
 
 

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from imfkit import Signal
+
+# Every @given test draws the same examples on every machine and run (a
+# hash of the test seeds the draws, and no example database is kept), so a
+# failure found once fails everywhere. Each test's own settings keep their
+# max_examples.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 def central_correlation(a: np.ndarray, b: np.ndarray, frac: float = 0.8) -> float:

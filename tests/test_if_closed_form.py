@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imfkit import BoundaryExtension, IFSettings, Signal, StopReason, if_extract, make_mask
+from imfkit import iterfilt
+from imfkit.iterfilt import mask_gain
 
 PAD_MODE = {BoundaryExtension.PERIODIC: "wrap", BoundaryExtension.REFLECTION: "reflect"}
 
@@ -151,3 +153,130 @@ def test_constant_signal_leaves_exact_zeros(extension, n):
     assert reference_extract(x, 9, cfg)[1:] == (2, StopReason.DELTA_REACHED)
     assert (iterations, reason) == (2, StopReason.DELTA_REACHED)
     assert np.all(imf.samples == 0.0)
+
+
+# A periodic scan whose ratio stays above delta up to max_inner skips its
+# tests (iterfilt._periodic_cannot_stop). The skip rests on the ratio not
+# rising from one iteration to the next and on np.power matching the
+# scan's sequential products; the tests below check both, and that the
+# skip leaves every result bit for bit as the scan gives it.
+
+
+def periodic_energy(x, l):
+    """The scan's mode energies of x and the mask's gain on len(x) points."""
+    n = x.size
+    spec = np.fft.rfft(x)
+    weight = np.full(spec.size, 2.0 / n)
+    weight[0] = 1.0 / n
+    if n % 2 == 0:
+        weight[-1] = 1.0 / n
+    return weight * np.abs(spec) ** 2, mask_gain(make_mask(l), n)
+
+
+def scan_ratios2(energy, g, steps):
+    """(num^2, den^2) of the ratio tested at each of ``steps`` iterations,
+    by the scan's sequential products."""
+    energy, h2 = energy.copy(), (1.0 - g) ** 2
+    out = []
+    for _ in range(steps):
+        out.append((float(np.sum(energy * g * g)), float(energy.sum())))
+        energy *= h2
+    return out
+
+
+def reference_ratios(x, l, steps):
+    """The time-domain loop's ratio num/den at each of ``steps`` iterations."""
+    weights, cur, out = make_mask(l).weights, x.copy(), []
+    for _ in range(steps):
+        avg = np.convolve(np.pad(cur, l, mode="wrap"), weights, mode="valid")
+        out.append(math.sqrt(float(np.sum(avg * avg)) / float(np.sum(cur * cur))))
+        cur = cur - avg
+    return out
+
+
+def extract_without_skip(monkeypatch, x, l, cfg):
+    with monkeypatch.context() as m:
+        m.setattr(iterfilt, "_periodic_cannot_stop", lambda *args: False)
+        return if_extract(Signal(x), l, cfg)
+
+
+def record_skip_decisions(monkeypatch):
+    """The list that each call of the skip's test appends its answer to."""
+    decided, skip = [], iterfilt._periodic_cannot_stop
+    monkeypatch.setattr(iterfilt, "_periodic_cannot_stop",
+                        lambda *args: decided.append(skip(*args)) or decided[-1])
+    return decided
+
+
+def assert_same_result(a, b):
+    assert (a[1], a[2]) == (b[1], b[2])
+    assert np.array_equal(a[0].samples, b[0].samples)
+
+
+periodic_cases = cases().filter(lambda c: c[2].extension is BoundaryExtension.PERIODIC)
+
+
+@settings(max_examples=100, deadline=None)
+@given(periodic_cases)
+def test_periodic_ratio_does_not_rise(case):
+    x, l, cfg = case
+    energy, g = periodic_energy(x, l)
+    assert -1e-14 <= g.min() and g.max() <= 1.0 + 1e-14
+    ratios2 = [num2 / den2 for num2, den2 in scan_ratios2(energy, g, cfg.max_inner)
+               if den2 > iterfilt._NORMAL_SUM]
+    for before, after in zip(ratios2, ratios2[1:]):
+        assert after <= before * (1.0 + 1e-12) + 1e-30
+
+
+@settings(max_examples=100, deadline=None)
+@given(periodic_cases)
+def test_power_bound_matches_sequential_products(case):
+    x, l, cfg = case
+    energy, g = periodic_energy(x, l)
+    (want_num2, want_den2), = scan_ratios2(energy, g, cfg.max_inner)[-1:]
+    # The skip's bound: the weights at the last test by np.power.
+    last = energy * np.power((1.0 - g) ** 2, cfg.max_inner - 1)
+    num2, den2 = float(np.sum(last * g * g)), float(last.sum())
+    if min(want_num2, want_den2) > iterfilt._NORMAL_SUM:
+        want = math.sqrt(want_num2 / want_den2)
+        assert abs(math.sqrt(num2 / den2) - want) <= 1e-6 * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_skip_keeps_every_bit(case):
+    x, l, cfg = case
+    with pytest.MonkeyPatch.context() as m:
+        assert_same_result(if_extract(Signal(x), l, cfg), extract_without_skip(m, x, l, cfg))
+
+
+@pytest.mark.parametrize("margin", [1e-3, 1e-9])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_ratio_crossing_delta_at_max_inner(monkeypatch, margin, offset):
+    # The time-domain ratio first falls below delta at iteration 40. With
+    # margin 1e-3 delta sits well below the ratio at 39, so at max_inner 39
+    # the scan is skipped; with 1e-9 it sits inside the skip's 1e-6 margin,
+    # so the scan runs and decides.
+    rng = np.random.default_rng(40)
+    n, l, crossing = 512, 12, 40
+    x = rng.standard_normal(n) + 2.0 * np.cos(2 * np.pi * 9 * np.arange(n) / n)
+    ratios = reference_ratios(x, l, crossing)
+    assert ratios[-2] > ratios[-1] * (1 + 1e-2)
+    delta = ratios[-2] * (1 - margin)
+    cfg = IFSettings(delta=delta, max_inner=crossing + offset)
+    decided = record_skip_decisions(monkeypatch)
+    got = if_extract(Signal(x), l, cfg)
+    want, want_iterations, want_reason = reference_extract(x, l, cfg)
+    assert got[1:] == (min(cfg.max_inner, crossing), want_reason) == (want_iterations, want_reason)
+    assert np.abs(got[0].samples - want).max() <= 1e-12 * np.abs(x).max()
+    assert_same_result(got, extract_without_skip(monkeypatch, x, l, cfg))
+    assert decided == [offset == -1 and margin == 1e-3]
+
+
+def test_weights_near_the_subnormal_range_never_decide():
+    # There the scan's sequential products could flush to zero where
+    # np.power does not. No input is known to get there after the unit
+    # scaling, so the guard is checked on the mode energies directly.
+    g = np.linspace(0.1, 0.9, 9)
+    assert iterfilt._periodic_cannot_stop(np.ones(9), g, 1e-3, 20)
+    assert not iterfilt._periodic_cannot_stop(np.full(9, 1e-290), g, 1e-3, 20)
